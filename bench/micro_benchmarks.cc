@@ -336,11 +336,15 @@ BENCHMARK(BM_ConstrainedMine)
 // K = 100) at 1/2/4/N threads. Results are recorded in BENCH_threads.json;
 // run with --benchmark_filter=ThreadScaling to refresh them. Output is
 // bit-identical across thread counts, so these measure pure speedup.
+// The work runs on pool workers while the main thread waits, so times
+// and rates are wall-clock (UseRealTime): main-thread CPU time would
+// shrink with the thread count and inflate items/s accordingly.
 
 void ThreadArgs(benchmark::internal::Benchmark* bench) {
   const int hardware = ResolveNumThreads(0);
   for (int threads : {1, 2, 4}) bench->Arg(threads);
   if (hardware != 1 && hardware != 2 && hardware != 4) bench->Arg(hardware);
+  bench->UseRealTime();
 }
 
 // K ball queries sharded across the pool of workers — the per-iteration

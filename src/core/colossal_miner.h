@@ -9,6 +9,7 @@
 #include "core/pattern_fusion.h"
 #include "data/transaction_database.h"
 #include "mining/constraints.h"
+#include "obs/trace.h"
 
 namespace colossal {
 
@@ -33,7 +34,9 @@ struct ColossalMinerOptions {
   // this size (paper uses 2 or 3 depending on the dataset).
   int initial_pool_max_size = 3;
 
-  // Which complete miner builds the pool (identical output either way).
+  // Which complete miner builds the pool. A pure performance knob:
+  // BuildInitialPool sorts the pool, so output is identical either way,
+  // and canonicalization resets it to kApriori.
   PoolMiner pool_miner = PoolMiner::kApriori;
 
   // Fusion parameters (see PatternFusionOptions).
@@ -97,8 +100,9 @@ struct ColossalMinerOptions {
 //   * a fractional sigma is resolved against `db` into the absolute
 //     min_support_count it denotes (then cleared), so sigma 0.5 and the
 //     matching --min-support collapse;
-//   * num_threads and shard_parallelism are zeroed, because both are
-//     pure performance knobs (output is bit-identical for any value);
+//   * num_threads and shard_parallelism are zeroed and pool_miner is
+//     reset to kApriori, because all three are pure performance knobs
+//     (output is bit-identical for any value);
 //   * constraints are canonicalized (lists sorted/deduplicated, no-op
 //     bounds erased — see CanonicalizeConstraints), so equal
 //     constraints in any spelling collapse;
@@ -133,18 +137,23 @@ struct ColossalMiningResult {
   std::vector<FusionIterationStats> iteration_stats;
 };
 
-// Runs initial-pool mining + Pattern-Fusion end to end.
+// Runs initial-pool mining + Pattern-Fusion end to end — the one
+// unsharded pipeline every caller (CLI, examples, the mining service)
+// goes through. Execution takes num_threads and pool_miner from
+// `options` as given; everything else from its canonical form.
 //
 // `arena`, when given, backs every mining temporary (initial-pool
 // support sets, fusion scratch) so the whole mine frees in one
-// Arena::Reset. It is a defaulted parameter — NOT a ColossalMinerOptions
-// field — because those options are hashed, compared, and canonicalized
-// as cache keys, and an execution-scoped pointer must never leak into
-// request identity. The returned patterns are always heap-backed;
-// output is byte-identical with or without an arena.
+// Arena::Reset. `trace`, when given, accumulates the initial-pool build
+// into kPoolMine and the fusion loop into kFusion. Both are defaulted
+// parameters — NOT ColossalMinerOptions fields — because those options
+// are hashed, compared, and canonicalized as cache keys, and an
+// execution-scoped pointer must never leak into request identity. The
+// returned patterns are always heap-backed; output is byte-identical
+// with or without an arena or a trace.
 StatusOr<ColossalMiningResult> MineColossal(
     const TransactionDatabase& db, const ColossalMinerOptions& options,
-    Arena* arena = nullptr);
+    Arena* arena = nullptr, RequestTrace* trace = nullptr);
 
 // The fusion half of MineColossal, split out so callers that build the
 // initial pool some other way — notably the sharded miner, which

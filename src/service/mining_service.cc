@@ -8,7 +8,6 @@
 #include "common/bitvector_kernels.h"
 #include "common/hash.h"
 #include "common/stopwatch.h"
-#include "core/pattern_fusion.h"
 
 namespace colossal {
 
@@ -282,6 +281,7 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
     is_manifest = registry_.SniffIsManifest(request.dataset_path);
   }
 
+  int64_t num_transactions = 0;
   if (!is_manifest) {
     if (request.shards_requested) {
       prep.status = Status::InvalidArgument(
@@ -301,48 +301,37 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
     prep.registry_hit = prep.handle.registry_hit;
     prep.fingerprint = prep.handle.fingerprint;
     prep.admission_bytes = prep.handle.db->ApproxMemoryBytes();
-    PhaseTimer parse_timer(trace, TracePhase::kParse);
-    StatusOr<CanonicalRequest> canonical =
-        CanonicalizeRequest(*prep.handle.db, request.options);
-    parse_timer.Stop();
-    if (!canonical.ok()) {
-      prep.status = canonical.status();
+    num_transactions = prep.handle.db->num_transactions();
+    if (!keep_dataset) prep.handle.db.reset();
+  } else {
+    prep.sharded = true;
+    StatusOr<ShardManifestHandle> handle = [&] {
+      PhaseTimer timer(trace, TracePhase::kRegistry);
+      return registry_.GetManifest(request.dataset_path);
+    }();
+    if (!handle.ok()) {
+      prep.status = handle.status();
       return prep;
     }
-    prep.canonical = *std::move(canonical);
-    prep.key = ResultCacheKey{prep.fingerprint, prep.canonical.options_hash};
-    if (!keep_dataset) prep.handle.db.reset();
-    return prep;
+    prep.manifest = std::move(handle->manifest);
+    prep.registry_hit = handle->registry_hit;
+    prep.fingerprint = prep.manifest->parent_fingerprint;
+    // The whole dataset's estimated footprint, not one shard's: the
+    // admission gate bounds the work a request represents, while the
+    // residency governor separately bounds how much of it is ever
+    // resident at once.
+    for (const ShardInfo& shard : prep.manifest->shards) {
+      prep.admission_bytes +=
+          EstimateShardResidentBytes(shard, prep.manifest->num_items);
+    }
+    num_transactions = prep.manifest->num_transactions;
   }
 
-  prep.sharded = true;
-  prep.shard_mode = request.shard_mode;
-  StatusOr<ShardManifestHandle> handle = [&] {
-    PhaseTimer timer(trace, TracePhase::kRegistry);
-    return registry_.GetManifest(request.dataset_path);
-  }();
-  if (!handle.ok()) {
-    prep.status = handle.status();
-    return prep;
-  }
-  prep.manifest = std::move(handle->manifest);
-  prep.registry_hit = handle->registry_hit;
-  prep.fingerprint = prep.manifest->parent_fingerprint;
-  // The whole dataset's estimated footprint, not one shard's: the
-  // admission gate bounds the work a request represents, while the
-  // residency governor separately bounds how much of it is ever
-  // resident at once.
-  for (const ShardInfo& shard : prep.manifest->shards) {
-    prep.admission_bytes +=
-        EstimateShardResidentBytes(shard, prep.manifest->num_items);
-  }
+  // Canonical options depend on the dataset only through |D|, so a
+  // manifest and its unsharded parent canonicalize (and key) alike.
   PhaseTimer parse_timer(trace, TracePhase::kParse);
-  // Request identity — including the fuse-mode salt that keeps
-  // approximate results from ever answering an exact request — is owned
-  // entirely by the request model; the service just asks for it.
-  StatusOr<CanonicalRequest> canonical = CanonicalizeRequestForSize(
-      prep.manifest->num_transactions, request.options,
-      prep.shard_mode == ShardMergeMode::kFuse);
+  StatusOr<CanonicalRequest> canonical =
+      CanonicalizeRequestForSize(num_transactions, request.options);
   parse_timer.Stop();
   if (!canonical.ok()) {
     prep.status = canonical.status();
@@ -356,17 +345,15 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
 StatusOr<ColossalMiningResult> MiningService::RunMine(
     const MineRequest& request, const Prepared& prep, RequestTrace* trace,
     std::atomic<int64_t>* arena_peak) {
-  // Execution options: canonical, except the thread count and shard
-  // parallelism — pure performance knobs with bit-identical output —
-  // which are taken from the request (falling back to the service's
-  // per-job defaults).
-  ColossalMinerOptions exec = prep.canonical.options;
-  exec.num_threads = request.options.num_threads != 0
-                         ? request.options.num_threads
-                         : options_.mining_threads;
-  exec.shard_parallelism = request.options.shard_parallelism != 0
-                               ? request.options.shard_parallelism
-                               : options_.shard_parallelism;
+  // Execution options: the request as sent — both miners canonicalize
+  // it themselves, exactly as Prepare did — so the performance knobs
+  // (threads, shard parallelism, pool miner) come from the request, the
+  // service's per-job defaults filling the unset ones.
+  ColossalMinerOptions exec = request.options;
+  if (exec.num_threads == 0) exec.num_threads = options_.mining_threads;
+  if (exec.shard_parallelism == 0) {
+    exec.shard_parallelism = options_.shard_parallelism;
+  }
   if (trace != nullptr && prep.sharded) {
     trace->shard_parallelism.store(exec.shard_parallelism,
                                    std::memory_order_relaxed);
@@ -374,7 +361,7 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
   // One arena per request: every mining temporary this request
   // allocates frees when the arena goes out of scope, and its
   // high-water mark feeds the stats line's arena_peak_mb. Results are
-  // detached onto the heap inside FuseColossalFromPool, so the cached
+  // detached onto the heap before the miners return, so the cached
   // shared_ptr never references this arena. The peak lands in the
   // caller's per-request sink; RunMineNoThrow folds it into the global
   // gauge and the request's flight record.
@@ -398,24 +385,7 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
       }
       db = fresh->db;
     }
-    // MineColossal's two halves called directly (same arguments, same
-    // order, so output is byte-identical to the one-call form) with a
-    // phase timer around each: initial pool mining vs. fusion.
-    StatusOr<ColossalMinerOptions> canonical =
-        CanonicalizeMinerOptions(*db, exec);
-    if (!canonical.ok()) return canonical.status();
-    PhaseTimer pool_timer(trace, TracePhase::kPoolMine);
-    StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
-        *db, canonical->min_support_count, canonical->initial_pool_max_size,
-        exec.pool_miner, exec.num_threads, &request_arena,
-        canonical->constraints);
-    pool_timer.Stop();
-    if (!pool.ok()) return pool.status();
-    ColossalMinerOptions fuse_exec = *canonical;
-    fuse_exec.num_threads = exec.num_threads;
-    PhaseTimer fusion_timer(trace, TracePhase::kFusion);
-    return FuseColossalFromPool(db->num_transactions(), *std::move(pool),
-                                fuse_exec, &request_arena);
+    return MineColossal(*db, exec, &request_arena, trace);
   }
   // Shards load through the registry's concurrent-admission API:
   // GetPinned reserves the estimate before reading, so however many
@@ -443,7 +413,7 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
                            std::move(shard->pin)};
       },
       residency);
-  return miner.Mine(exec, prep.shard_mode, &request_arena);
+  return miner.Mine(exec, ShardMergeMode::kExact, &request_arena);
 }
 
 StatusOr<ColossalMiningResult> MiningService::RunMineNoThrow(
@@ -508,6 +478,35 @@ MiningResponse MiningService::Execute(const MineRequest& request,
   std::shared_ptr<const ColossalMiningResult> cached =
       cache_.Get(prep.key, prep.canonical.options);
   cache_timer.Stop();
+  if (cached == nullptr && after_cache_miss_hook_) after_cache_miss_hook_();
+
+  // Join an identical in-flight request, or become the runner for one.
+  // A key collision with different canonical options (verified below)
+  // mines standalone — no job — with a correct result, just no dedup.
+  std::shared_ptr<Inflight> job;
+  bool runner = false;
+  if (cached == nullptr) {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    auto it = inflight_.find(prep.key);
+    if (it == inflight_.end()) {
+      // A runner caches its result before it erases its in-flight
+      // entry, so no entry means either nobody is mining this key or
+      // its result is already cached — possibly published after the
+      // probe above. Look again before mining a second time.
+      PhaseTimer reprobe_timer(trace, TracePhase::kCacheLookup);
+      cached = cache_.Get(prep.key, prep.canonical.options, /*count=*/false);
+      reprobe_timer.Stop();
+      if (cached == nullptr) {
+        job = std::make_shared<Inflight>();
+        job->canonical = prep.canonical.options;
+        inflight_.emplace(prep.key, job);
+        inflight_gauge_->Set(static_cast<int64_t>(inflight_.size()));
+        runner = true;
+      }
+    } else if (it->second->canonical == prep.canonical.options) {
+      job = it->second;
+    }
+  }
   if (cached != nullptr) {
     response.result = std::move(cached);
     response.source = ResponseSource::kCache;
@@ -515,42 +514,7 @@ MiningResponse MiningService::Execute(const MineRequest& request,
     return response;
   }
 
-  // Join an identical in-flight request, or become the runner for one.
-  // A key collision with different canonical options (verified below)
-  // mines standalone: correct result, just no dedup for that request.
-  std::shared_ptr<Inflight> job;
-  bool runner = false;
-  bool standalone = false;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto it = inflight_.find(prep.key);
-    if (it == inflight_.end()) {
-      job = std::make_shared<Inflight>();
-      job->canonical = prep.canonical.options;
-      inflight_.emplace(prep.key, job);
-      inflight_gauge_->Set(static_cast<int64_t>(inflight_.size()));
-      runner = true;
-    } else if (it->second->canonical == prep.canonical.options) {
-      job = it->second;
-    } else {
-      standalone = true;
-    }
-  }
-  if (standalone) {
-    StatusOr<ColossalMiningResult> mined =
-        AdmitAndRunMine(request, prep, trace);
-    response.status = mined.status();
-    if (mined.ok()) {
-      response.result =
-          std::make_shared<const ColossalMiningResult>(*std::move(mined));
-      response.source = ResponseSource::kMined;
-      cache_.Put(prep.key, prep.canonical.options, response.result);
-    }
-    response.seconds = stopwatch.ElapsedSeconds();
-    return response;
-  }
-
-  if (!runner) {
+  if (job != nullptr && !runner) {
     std::unique_lock<std::mutex> lock(job->mutex);
     job->done_cv.wait(lock, [&] { return job->done; });
     response.status = job->status;
@@ -567,20 +531,24 @@ MiningResponse MiningService::Execute(const MineRequest& request,
   if (mined.ok()) {
     result = std::make_shared<const ColossalMiningResult>(*std::move(mined));
   }
-  {
-    std::lock_guard<std::mutex> lock(job->mutex);
-    job->status = mined.status();
-    job->result = result;
-    job->done = true;
+  if (runner) {
+    {
+      std::lock_guard<std::mutex> lock(job->mutex);
+      job->status = mined.status();
+      job->result = result;
+      job->done = true;
+    }
+    job->done_cv.notify_all();
   }
-  job->done_cv.notify_all();
-  {
+  // Cache first, then leave the in-flight table: a request that finds
+  // no entry re-probes the cache, so it can never miss both.
+  if (mined.ok()) {
+    cache_.Put(prep.key, prep.canonical.options, result);
+  }
+  if (runner) {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     inflight_.erase(prep.key);
     inflight_gauge_->Set(static_cast<int64_t>(inflight_.size()));
-  }
-  if (mined.ok()) {
-    cache_.Put(prep.key, prep.canonical.options, result);
   }
 
   response.status = mined.status();

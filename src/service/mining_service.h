@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string_view>
@@ -124,8 +125,7 @@ FlightRecord BuildFlightRecord(uint64_t id, int64_t start_unix_nanos,
 // with shards loaded individually through the registry so a dataset
 // larger than the memory budget still serves within it. Exact sharded
 // results are byte-identical to unsharded ones and share their cache
-// entries (the manifest carries the parent's content fingerprint);
-// approximate fusion results are cached under a distinct key.
+// entries (the manifest carries the parent's content fingerprint).
 //
 // Observability: the service (and the registry/cache/server around it)
 // report into one MetricsRegistry — counters per response source, an
@@ -200,6 +200,8 @@ class MiningService {
   int64_t arena_peak_bytes() const { return arena_peak_gauge_->value(); }
 
  private:
+  friend class MiningServiceTestPeer;
+
   // One in-flight mining job; identical concurrent requests wait on it.
   // `canonical` (immutable after insertion) is verified by joiners so a
   // 64-bit key collision mines independently instead of returning the
@@ -219,7 +221,6 @@ class MiningService {
   struct Prepared {
     Status status;  // dataset resolution / canonicalization failure
     bool sharded = false;
-    ShardMergeMode shard_mode = ShardMergeMode::kExact;
     std::shared_ptr<const ShardManifest> manifest;  // sharded only
     DatasetHandle handle;                           // unsharded only
     bool registry_hit = false;
@@ -329,6 +330,13 @@ class MiningService {
   std::unordered_map<ResultCacheKey, std::shared_ptr<Inflight>,
                      ResultCacheKeyHash>
       inflight_;
+
+  // Test seam, null in production: Execute calls it after a request's
+  // first cache probe misses and before it consults the in-flight
+  // table, so a test can hold a request inside that window while
+  // another request publishes. Set (through MiningServiceTestPeer)
+  // before any request runs.
+  std::function<void()> after_cache_miss_hook_;
 };
 
 }  // namespace colossal

@@ -9,6 +9,7 @@
 #include "common/args.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
+#include "shard/sharded_miner.h"
 
 namespace colossal {
 
@@ -23,10 +24,6 @@ uint64_t DoubleBits(double value) {
   std::memcpy(&bits, &value, sizeof(bits));
   return bits;
 }
-
-// Distinguishes the sharded miner's approximate kFuse results from the
-// exact answer to the same canonical options in the result cache.
-constexpr uint64_t kFuseModeSalt = 0x66757365u;  // "fuse"
 
 // Version salt for the mode-extension fields (top_k, constraints).
 // Folded only when one of them is non-default, so every legacy request
@@ -105,24 +102,19 @@ uint64_t HashMinerOptions(const ColossalMinerOptions& options) {
 }
 
 StatusOr<CanonicalRequest> CanonicalizeRequestForSize(
-    int64_t num_transactions, const ColossalMinerOptions& options,
-    bool fuse_mode) {
+    int64_t num_transactions, const ColossalMinerOptions& options) {
   StatusOr<ColossalMinerOptions> canonical =
       CanonicalizeMinerOptionsForSize(num_transactions, options);
   if (!canonical.ok()) return canonical.status();
   CanonicalRequest request;
   request.options = *std::move(canonical);
   request.options_hash = HashMinerOptions(request.options);
-  if (fuse_mode) {
-    request.options_hash = HashCombine(request.options_hash, kFuseModeSalt);
-  }
   return request;
 }
 
 StatusOr<CanonicalRequest> CanonicalizeRequest(
     const TransactionDatabase& db, const ColossalMinerOptions& options) {
-  return CanonicalizeRequestForSize(db.num_transactions(), options,
-                                    /*fuse_mode=*/false);
+  return CanonicalizeRequestForSize(db.num_transactions(), options);
 }
 
 size_t ResultCacheKeyHash::operator()(const ResultCacheKey& key) const {
@@ -151,7 +143,6 @@ StatusOr<MineRequest> ParseRequestLine(const std::string& line) {
     StatusOr<ShardMergeMode> mode =
         ParseShardMergeMode(args.GetString("shards"));
     if (!mode.ok()) return mode.status();
-    request.shard_mode = *mode;
     request.shards_requested = true;
   }
 

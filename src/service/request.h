@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "core/colossal_miner.h"
 #include "data/transaction_database.h"
-#include "shard/sharded_miner.h"
 
 namespace colossal {
 
@@ -28,11 +27,9 @@ struct MineRequest {
   // LoadDatabaseFile; "manifest"/"auto" admit a shard manifest, which
   // the service routes through the sharded miner).
   std::string format = "auto";
-  // How to merge per-shard results when dataset_path is a shard
-  // manifest (--shards). kExact is the default; shards_requested
-  // records whether --shards appeared, because naming it on a
-  // non-manifest dataset is a request error.
-  ShardMergeMode shard_mode = ShardMergeMode::kExact;
+  // Whether --shards exact appeared: manifests always merge exactly, so
+  // the flag only asserts that dataset_path is a shard manifest — naming
+  // it on a non-manifest dataset is a request error.
   bool shards_requested = false;
   ColossalMinerOptions options;
 };
@@ -48,8 +45,8 @@ struct CanonicalRequest {
 
 // Stable content hash over the result-affecting option fields. Operates
 // on already-canonical options (call through CanonicalizeRequest);
-// num_threads and sigma are hashed too, which is harmless because
-// canonicalization has zeroed/resolved them.
+// num_threads, pool_miner and sigma are hashed too, which is harmless
+// because canonicalization has zeroed/reset/resolved them.
 //
 // Versioning: the legacy fields hash exactly as they always have, and
 // the mode extensions (top_k, constraints) fold in — under a version
@@ -64,20 +61,12 @@ uint64_t HashMinerOptions(const ColossalMinerOptions& options);
 // (see CanonicalizeMinerOptionsForSize — canonicalization depends on
 // the dataset only through |D|) and hashes the result. Equivalent
 // requests — sigma vs. the absolute support it denotes, any
-// num_threads/shard_parallelism, constraint lists in any order —
-// collapse to one CanonicalRequest.
-//
-// `fuse_mode` marks the sharded miner's approximate kFuse merge: it
-// folds a salt into options_hash so an approximate result can never be
-// served for the exact request (or vice versa) from the result cache.
-// This salt lives here, with the rest of request identity — transports
-// and the service never adjust hashes themselves.
+// num_threads/shard_parallelism/pool_miner, constraint lists in any
+// order — collapse to one CanonicalRequest.
 StatusOr<CanonicalRequest> CanonicalizeRequestForSize(
-    int64_t num_transactions, const ColossalMinerOptions& options,
-    bool fuse_mode = false);
+    int64_t num_transactions, const ColossalMinerOptions& options);
 
-// Convenience overload against a loaded database (never fuse mode:
-// loaded-database requests are unsharded by definition).
+// Convenience overload against a loaded database.
 StatusOr<CanonicalRequest> CanonicalizeRequest(
     const TransactionDatabase& db, const ColossalMinerOptions& options);
 
@@ -104,11 +93,15 @@ struct ResultCacheKeyHash {
 //   --in FILE [--format fimi|matrix|snapshot|manifest|auto]
 //   (--sigma F | --min-support N) [--tau F] [--k N] [--pool-size N]
 //   [--pool-miner apriori|eclat] [--max-iterations N] [--attempts N]
-//   [--retain N] [--seed S] [--threads N] [--shards exact|fuse]
+//   [--retain N] [--seed S] [--threads N] [--shards exact]
 //   [--shard-parallelism N]
 //   [--top-k N] [--include I1,I2,...] [--exclude I1,I2,...]
 //   [--min-len N] [--max-len N]
 //
+// --threads, --shard-parallelism and --pool-miner only steer execution:
+// output is identical for every value, so they never split a cache key.
+// --shards exact asserts a shard-manifest dataset (--shards fuse was
+// removed and is rejected).
 // --top-k N asks for the K largest patterns under the result order
 // (size descending, ties lexicographic); 0 = off. --include/--exclude
 // take comma-separated item ids (include = vocabulary allowlist,

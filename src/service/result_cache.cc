@@ -22,15 +22,16 @@ ResultCache::ResultCache(const ResultCacheOptions& options)
 }
 
 std::shared_ptr<const ColossalMiningResult> ResultCache::Get(
-    const ResultCacheKey& key, const ColossalMinerOptions& canonical) {
+    const ResultCacheKey& key, const ColossalMinerOptions& canonical,
+    bool count) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end() || !(it->second.canonical == canonical)) {
-    misses_->Increment();
+    if (count) misses_->Increment();
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-  hits_->Increment();
+  if (count) hits_->Increment();
   return it->second.result;
 }
 

@@ -44,9 +44,12 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   // Returns the cached result for (key, canonical options), or null on a
-  // miss. A hit refreshes the entry's LRU position.
+  // miss. A hit refreshes the entry's LRU position. `count` false skips
+  // the hit/miss counters: a second look by a caller whose first Get
+  // already counted, so one request never counts twice.
   std::shared_ptr<const ColossalMiningResult> Get(
-      const ResultCacheKey& key, const ColossalMinerOptions& canonical);
+      const ResultCacheKey& key, const ColossalMinerOptions& canonical,
+      bool count = true);
 
   // Inserts (or refreshes) an entry. `canonical` must be the canonical
   // options the key's options_hash was computed from.

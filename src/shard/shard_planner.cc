@@ -1,6 +1,8 @@
 #include "shard/shard_planner.h"
 
 #include <cstdio>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "data/snapshot_io.h"
@@ -96,6 +98,13 @@ StatusOr<ShardWriteResult> WriteShardedSnapshots(
   }
   if (expected_begin != db.num_transactions()) {
     return Status::InvalidArgument("shard ranges do not cover the database");
+  }
+
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error) {
+    return Status::Internal("cannot create directory " + dir + ": " +
+                            error.message());
   }
 
   ShardWriteResult result;

@@ -52,7 +52,8 @@ struct ShardWriteResult {
 };
 
 // Writes one snapshot file per range ("<name>.shard_NNNN.snap") plus
-// "<name>.manifest" into `dir` (which must exist). The ranges must tile
+// "<name>.manifest" into `dir`, creating it (and any missing parents)
+// first. The ranges must tile
 // [0, db.num_transactions()) contiguously (PlanShards output does).
 StatusOr<ShardWriteResult> WriteShardedSnapshots(
     const TransactionDatabase& db, const std::vector<ShardRange>& ranges,

@@ -56,21 +56,15 @@ bool HasSnapshotMagic(const std::string& path) {
 
 }  // namespace
 
-const char* ShardMergeModeName(ShardMergeMode mode) {
-  switch (mode) {
-    case ShardMergeMode::kExact:
-      return "exact";
-    case ShardMergeMode::kFuse:
-      return "fuse";
-  }
-  return "unknown";
-}
-
 StatusOr<ShardMergeMode> ParseShardMergeMode(const std::string& name) {
   if (name == "exact") return ShardMergeMode::kExact;
-  if (name == "fuse") return ShardMergeMode::kFuse;
+  if (name == "fuse") {
+    return Status::InvalidArgument(
+        "--shards fuse was removed (it lost to exact on speed and answer "
+        "size); use --shards exact");
+  }
   return Status::InvalidArgument("unknown shard merge mode '" + name +
-                                 "' (want exact|fuse)");
+                                 "' (want exact)");
 }
 
 // An itemset X with global support >= s satisfies, in at least one
@@ -228,7 +222,7 @@ StatusOr<LoadedShard> ShardedMiner::LoadShard(size_t index,
 }
 
 StatusOr<ColossalMiningResult> ShardedMiner::Mine(
-    const ColossalMinerOptions& options, ShardMergeMode mode,
+    const ColossalMinerOptions& options, ShardMergeMode /*mode*/,
     Arena* arena) const {
   const int64_t total_rows = manifest_.num_transactions;
   StatusOr<ColossalMinerOptions> canonical =
@@ -254,10 +248,7 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   // shard's slot; merging then walks slots in manifest order with
   // first-appearance dedup, so the candidate list — and everything
   // downstream — is byte-identical to the sequential walk regardless of
-  // completion order. Per-shard miners derive any randomness from the
-  // options alone (each MineColossal call seeds its own RNG stream from
-  // options.seed), never from scheduling, which keeps fuse mode
-  // identical across thread counts and parallelism too.
+  // completion order.
   // The phase-1 wall clock (kPoolMine) covers estimation, the fan-out
   // and the candidate merge; loader-side registry/admission time is
   // attributed to kRegistry by the loader itself and overlaps this span
@@ -291,50 +282,25 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     // contend on each other's allocator. Only the itemsets escape, so
     // nothing outlives the arena.
     Arena shard_arena;
+    // The complete bounded-size miner at the Partition-scaled threshold:
+    // the union over shards is a superset of the global initial pool.
+    MinerOptions miner_options;
+    miner_options.min_support_count = local_min;
+    miner_options.max_pattern_size = canonical->initial_pool_max_size;
+    miner_options.num_threads = options.num_threads;
+    miner_options.arena = &shard_arena;
+    // Constraint pushdown reaches each shard's complete miner: excluded
+    // vocabulary never materializes a per-shard Bitvector, exactly as in
+    // the unsharded BuildInitialPool path.
+    miner_options.constraints = canonical->constraints;
+    StatusOr<MiningResult> mined = options.pool_miner == PoolMiner::kApriori
+                                       ? MineApriori(*shard->db, miner_options)
+                                       : MineEclat(*shard->db, miner_options);
+    if (!mined.ok()) return mined.status();
     std::vector<Itemset> mined_items;
-    if (mode == ShardMergeMode::kExact) {
-      // The complete bounded-size miner at the Partition-scaled
-      // threshold: the union over shards is a superset of the global
-      // initial pool.
-      MinerOptions miner_options;
-      miner_options.min_support_count = local_min;
-      miner_options.max_pattern_size = canonical->initial_pool_max_size;
-      miner_options.num_threads = options.num_threads;
-      miner_options.arena = &shard_arena;
-      // Constraint pushdown reaches each shard's complete miner:
-      // excluded vocabulary never materializes a per-shard Bitvector,
-      // exactly as in the unsharded BuildInitialPool path.
-      miner_options.constraints = canonical->constraints;
-      StatusOr<MiningResult> mined =
-          canonical->pool_miner == PoolMiner::kApriori
-              ? MineApriori(*shard->db, miner_options)
-              : MineEclat(*shard->db, miner_options);
-      if (!mined.ok()) return mined.status();
-      mined_items.reserve(mined->patterns.size());
-      for (const FrequentItemset& pattern : mined->patterns) {
-        mined_items.push_back(pattern.items);
-      }
-    } else {
-      // Approximate fusion: each shard's colossal patterns are the core
-      // patterns the cross-shard fusion will draw from.
-      ColossalMinerOptions local = *canonical;
-      local.sigma = -1.0;
-      local.min_support_count = local_min;
-      local.num_threads = options.num_threads;
-      // Result shaping (top-k truncation, min_len filtering) applies
-      // once, at the final cross-shard fusion — a per-shard cut would
-      // drop the small core patterns the global fusion builds from.
-      // Vocabulary and max_len pushdown stay: they bound what may ever
-      // appear in the answer, shard-locally as much as globally.
-      local.top_k = 0;
-      local.constraints.min_len = 0;
-      StatusOr<ColossalMiningResult> mined =
-          MineColossal(*shard->db, local, &shard_arena);
-      if (!mined.ok()) return mined.status();
-      mined_items.reserve(mined->patterns.size());
-      for (const Pattern& pattern : mined->patterns) {
-        mined_items.push_back(pattern.items);
-      }
+    mined_items.reserve(mined->patterns.size());
+    for (const FrequentItemset& pattern : mined->patterns) {
+      mined_items.push_back(pattern.items);
     }
     RecordArenaPeak(residency_.arena_peak_bytes, shard_arena);
     return mined_items;
@@ -466,10 +432,9 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   });
   stitch_timer.Stop();
 
-  // Phase 4 — the shared fusion pipeline. For kExact the pool is the
-  // global initial pool, so the result is byte-identical to unsharded
-  // MineColossal; for kFuse it is the union of per-shard colossal
-  // patterns acting as core patterns.
+  // Phase 4 — the shared fusion pipeline. The pool is the global
+  // initial pool, so the result is byte-identical to unsharded
+  // MineColossal.
   ColossalMinerOptions exec = *canonical;
   exec.num_threads = options.num_threads;
   PhaseTimer fusion_timer(residency_.trace, TracePhase::kFusion);

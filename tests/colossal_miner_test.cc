@@ -139,6 +139,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(100, 0.5)));
 
 TEST(ColossalMinerTest, PoolMinerChoiceGivesIdenticalResults) {
+  // BuildInitialPool sorts the pool, so the miner that built it cannot
+  // change the answer: same patterns in the same order, same trajectory.
   LabeledDatabase labeled = MakeDiagPlus(20, 10);
   ColossalMinerOptions options;
   options.min_support_count = labeled.min_support_count;
@@ -151,16 +153,40 @@ TEST(ColossalMinerTest, PoolMinerChoiceGivesIdenticalResults) {
   StatusOr<ColossalMiningResult> eclat = MineColossal(labeled.db, options);
   ASSERT_TRUE(apriori.ok());
   ASSERT_TRUE(eclat.ok());
-  // The pools contain identical pattern SETS (Apriori enumerates
-  // breadth-first, Eclat depth-first, so the order — and therefore the
-  // seed draws — may differ, but the contract must hold either way).
   EXPECT_EQ(apriori->initial_pool_size, eclat->initial_pool_size);
-  for (const StatusOr<ColossalMiningResult>* result : {&apriori, &eclat}) {
-    bool found = false;
-    for (const Pattern& pattern : (*result)->patterns) {
-      if (pattern.items == labeled.planted[0]) found = true;
-    }
-    EXPECT_TRUE(found);
+  EXPECT_EQ(apriori->iterations, eclat->iterations);
+  ASSERT_EQ(apriori->patterns.size(), eclat->patterns.size());
+  for (size_t i = 0; i < apriori->patterns.size(); ++i) {
+    EXPECT_TRUE(apriori->patterns[i] == eclat->patterns[i]) << i;
+  }
+  EXPECT_TRUE(ResultContains(*eclat, labeled.planted[0]));
+}
+
+TEST(ColossalMinerTest, TraceRecordsPoolMineAndFusionPhases) {
+  LabeledDatabase labeled = MakeDiagPlus(20, 10);
+  ColossalMinerOptions options;
+  options.min_support_count = labeled.min_support_count;
+  options.initial_pool_max_size = 2;
+  options.k = 30;
+  RequestTrace trace;
+  StatusOr<ColossalMiningResult> traced =
+      MineColossal(labeled.db, options, nullptr, &trace);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  EXPECT_GT(trace.nanos(TracePhase::kPoolMine), 0);
+  EXPECT_GT(trace.nanos(TracePhase::kFusion), 0);
+  // Only the two mining phases belong to MineColossal.
+  for (TracePhase phase : {TracePhase::kParse, TracePhase::kCacheLookup,
+                           TracePhase::kRegistry, TracePhase::kStitch,
+                           TracePhase::kSerialize}) {
+    EXPECT_EQ(trace.nanos(phase), 0) << TracePhaseName(phase);
+  }
+
+  // Tracing is observational: the answer is the untraced one.
+  StatusOr<ColossalMiningResult> untraced = MineColossal(labeled.db, options);
+  ASSERT_TRUE(untraced.ok());
+  ASSERT_EQ(traced->patterns.size(), untraced->patterns.size());
+  for (size_t i = 0; i < untraced->patterns.size(); ++i) {
+    EXPECT_TRUE(traced->patterns[i] == untraced->patterns[i]) << i;
   }
 }
 

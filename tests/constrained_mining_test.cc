@@ -266,45 +266,6 @@ TEST_F(ConstrainedMiningTest, ModesAreByteIdenticalAcrossTheMatrix) {
   }
 }
 
-// Fuse mode is approximate per manifest, but within one manifest the
-// answer must still be invariant across every performance knob — and
-// the result shaping (top-k truncation, min_len) must hold there too.
-TEST_F(ConstrainedMiningTest, FuseModeShapesResultsDeterministically) {
-  for (const std::string& manifest_path : *manifest_paths_) {
-    StatusOr<ShardManifest> manifest = ReadShardManifestFile(manifest_path);
-    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-    std::string reference_text;
-    for (int threads : {1, 8}) {
-      for (int parallelism : {1, 4}) {
-        ColossalMinerOptions options = TopKOptions();
-        options.num_threads = threads;
-        options.shard_parallelism = parallelism;
-        ShardedMiner miner(*manifest, DiskLoader());
-        StatusOr<ColossalMiningResult> fused =
-            miner.Mine(options, ShardMergeMode::kFuse);
-        ASSERT_TRUE(fused.ok())
-            << manifest_path << ": " << fused.status().ToString();
-        EXPECT_LE(fused->patterns.size(),
-                  static_cast<size_t>(options.top_k));
-        const std::string text = Render(*fused);
-        if (reference_text.empty()) {
-          reference_text = text;
-        } else {
-          EXPECT_EQ(text, reference_text)
-              << manifest_path << " threads=" << threads
-              << " parallelism=" << parallelism;
-        }
-      }
-    }
-    EXPECT_FALSE(reference_text.empty()) << manifest_path;
-  }
-}
-
-// Constrained sharded mining inherits the never-materialize guarantee:
-// the planted block mines identically whether the Diag noise vocabulary
-// is excluded or merely absent from the answer, and excluding it
-// shrinks per-shard arena footprints (the shards simply never build
-// those tidsets).
 TEST_F(ConstrainedMiningTest, ShardedConstraintPushdownSkipsExcludedItems) {
   StatusOr<ShardManifest> manifest =
       ReadShardManifestFile((*manifest_paths_)[1]);  // 2 shards

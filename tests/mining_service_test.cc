@@ -6,9 +6,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +26,16 @@
 #include "service/result_cache.h"
 
 namespace colossal {
+
+// Reaches MiningService's test seam (see after_cache_miss_hook_).
+class MiningServiceTestPeer {
+ public:
+  static void SetAfterCacheMissHook(MiningService& service,
+                                    std::function<void()> hook) {
+    service.after_cache_miss_hook_ = std::move(hook);
+  }
+};
+
 namespace {
 
 // Shared on-disk datasets for the suite (written once).
@@ -127,6 +140,73 @@ TEST_F(MiningServiceTest, ThreadCountDoesNotSplitTheCacheKey) {
   EXPECT_EQ(first.options_hash, second.options_hash);
   EXPECT_EQ(second.source, ResponseSource::kCache);
   EXPECT_EQ(first.result.get(), second.result.get());
+}
+
+TEST_F(MiningServiceTest, PoolMinerDoesNotSplitTheCacheKey) {
+  // The pool is sorted whichever miner builds it, so an eclat request is
+  // answered from the apriori request's entry, byte for byte.
+  MiningService service;
+  const std::string line = "--in " + *fimi_path_ +
+                           " --min-support 8 --k 20 --pool-size 2";
+  StatusOr<MineRequest> apriori = ParseRequestLine(line);
+  StatusOr<MineRequest> eclat = ParseRequestLine(line + " --pool-miner eclat");
+  ASSERT_TRUE(apriori.ok());
+  ASSERT_TRUE(eclat.ok());
+  ASSERT_EQ(eclat->options.pool_miner, PoolMiner::kEclat);
+
+  MiningResponse first = service.Mine(*apriori);
+  MiningResponse second = service.Mine(*eclat);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_EQ(first.source, ResponseSource::kMined);
+  EXPECT_EQ(second.source, ResponseSource::kCache);
+  EXPECT_EQ(first.options_hash, second.options_hash);
+  const std::string payload =
+      PatternsToString(ToFrequentItemsets(second.result->patterns));
+  EXPECT_EQ(payload,
+            PatternsToString(ToFrequentItemsets(first.result->patterns)));
+
+  // And the cached answer is what eclat mines on its own.
+  StatusOr<ColossalMiningResult> fresh = MineColossal(*db_, eclat->options);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(payload, PatternsToString(ToFrequentItemsets(fresh->patterns)));
+}
+
+TEST_F(MiningServiceTest, RequestThatMissedDuringAPublishIsServedFromCache) {
+  // Holds one request between its cache miss and its in-flight lookup
+  // while an identical request mines, caches and retires its in-flight
+  // entry. The held request then finds neither a cached result on its
+  // first probe nor an in-flight job, and must re-probe the cache
+  // instead of mining a second time.
+  MiningService service;
+  std::promise<void> held_missed;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> armed{true};
+  MiningServiceTestPeer::SetAfterCacheMissHook(service, [&] {
+    if (!armed.exchange(false)) return;
+    held_missed.set_value();
+    released.wait();
+  });
+
+  const MineRequest request = BasicRequest();
+  MiningResponse held;
+  std::thread held_thread([&] { held = service.Mine(request); });
+  held_missed.get_future().wait();
+  MiningResponse runner = service.Mine(request);
+  release.set_value();
+  held_thread.join();
+
+  ASSERT_TRUE(runner.status.ok()) << runner.status.ToString();
+  ASSERT_TRUE(held.status.ok()) << held.status.ToString();
+  EXPECT_EQ(runner.source, ResponseSource::kMined);
+  EXPECT_EQ(held.source, ResponseSource::kCache);
+  EXPECT_EQ(held.result.get(), runner.result.get());
+  EXPECT_EQ(service.metrics().CounterValue("colossal_responses_mined_total"),
+            1);
+  // The re-probe is not a second lookup in the cache's own counters.
+  EXPECT_EQ(service.cache_stats().misses, 2);
+  EXPECT_EQ(service.cache_stats().hits, 0);
 }
 
 TEST_F(MiningServiceTest, SigmaAndAbsoluteSupportShareACacheEntry) {

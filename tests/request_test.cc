@@ -75,7 +75,7 @@ TEST(CanonicalizeRequestTest, ResultAffectingKnobsChangeTheHash) {
   variants[1].k = 7;
   variants[2].seed = 99;
   variants[3].min_support_count = 4;
-  variants[4].pool_miner = PoolMiner::kEclat;
+  variants[4].initial_pool_max_size = 2;  // pool_miner is erased instead
   for (const ColossalMinerOptions& variant : variants) {
     StatusOr<CanonicalRequest> other = CanonicalizeRequest(db, variant);
     ASSERT_TRUE(other.ok());
@@ -153,57 +153,52 @@ TEST(ParseRequestLineTest, UnknownFlagErrorListsKnownFlags) {
 // Golden-key regression: every pre-existing request line must hash to
 // the SAME options_hash it produced before the typed-request refactor
 // and the top-k/constraint extensions. The constants below were
-// captured from the pre-refactor binary (PR 9); if one of them moves,
-// cached results, in-flight dedup and cross-version replay all break.
-// The mode-extension fields hash only when set, which is exactly what
-// keeps these stable.
+// captured from the pre-refactor binary; if one of them moves, cached
+// results, in-flight dedup and cross-version replay all break. The
+// mode-extension fields hash only when set, which is exactly what keeps
+// these stable. The --pool-miner eclat rows are the one deliberate
+// change: pool_miner is erased by canonicalization, so they now carry
+// the key of the same line without the flag.
 TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
   struct GoldenKey {
     const char* line;
     int64_t num_transactions;
-    uint64_t hash;       // exact / unsharded key
-    uint64_t fuse_hash;  // the same options under the kFuse salt
+    uint64_t hash;
   };
   const GoldenKey golden[] = {
       {"--in data.fimi --min-support 12 --k 10 --pool-size 2", 100,
-       0xb66730b5020a57d3ULL, 0xaace0c50d9579324ULL},
+       0xb66730b5020a57d3ULL},
       {"--in data.fimi --min-support 12 --k 10 --pool-size 2", 4395,
-       0xb66730b5020a57d3ULL, 0xaace0c50d9579324ULL},
+       0xb66730b5020a57d3ULL},
       {"--in data.fimi --sigma 0.25 --tau 0.4 --k 50 --pool-size 2 "
        "--pool-miner eclat --max-iterations 9 --attempts 3 --retain 4 "
        "--seed 11 --threads 2 --shard-parallelism 4",
-       100, 0xd5dc30f2a4506e90ULL, 0xbb7857fcb2bd98f3ULL},
+       100, 0x18c2ac83764f60c5ULL},
       {"--in data.fimi --sigma 0.25 --tau 0.4 --k 50 --pool-size 2 "
        "--pool-miner eclat --max-iterations 9 --attempts 3 --retain 4 "
        "--seed 11 --threads 2 --shard-parallelism 4",
-       4395, 0x8a878143b7a90ef3ULL, 0x9473ac0b0580be9aULL},
-      {"--in d.snap --min-support 20", 100, 0x543d6b0fe3bebe84ULL,
-       0x2e1125a92c5aa5e6ULL},
+       4395, 0xc1d389a214ebdddeULL},
+      {"--in d.snap --min-support 20", 100, 0x543d6b0fe3bebe84ULL},
       {"--in shards/d.manifest --shards exact --min-support 12 --tau 0.5 "
        "--k 40 --pool-size 2",
-       100, 0x7883f473ca183568ULL, 0x9d8501d16fafc7b8ULL},
-      {"--in shards/d.manifest --shards fuse --sigma 0.1 --k 40 "
+       100, 0x7883f473ca183568ULL},
+      {"--in shards/d.manifest --shards exact --sigma 0.1 --k 40 "
        "--pool-size 3 --seed 7",
-       100, 0xd24e4ee7d509a965ULL, 0x4204951f28af7375ULL},
-      {"--in shards/d.manifest --shards fuse --sigma 0.1 --k 40 "
+       100, 0xd24e4ee7d509a965ULL},
+      {"--in shards/d.manifest --shards exact --sigma 0.1 --k 40 "
        "--pool-size 3 --seed 7",
-       4395, 0x0d98428fea2aaabbULL, 0x2ea1be0a6524e09eULL},
+       4395, 0x0d98428fea2aaabbULL},
       {"--in x --min-support 1 --tau 1.0 --k 1 --pool-size 1 "
        "--max-iterations 1 --attempts 1 --retain 1 --seed 0",
-       100, 0xc6242b35dea9b480ULL, 0x2b693162005b3e42ULL},
+       100, 0xc6242b35dea9b480ULL},
   };
   for (const GoldenKey& key : golden) {
     StatusOr<MineRequest> request = ParseRequestLine(key.line);
     ASSERT_TRUE(request.ok()) << key.line;
-    StatusOr<CanonicalRequest> exact = CanonicalizeRequestForSize(
-        key.num_transactions, request->options, /*fuse_mode=*/false);
-    StatusOr<CanonicalRequest> fuse = CanonicalizeRequestForSize(
-        key.num_transactions, request->options, /*fuse_mode=*/true);
-    ASSERT_TRUE(exact.ok()) << key.line;
-    ASSERT_TRUE(fuse.ok()) << key.line;
-    EXPECT_EQ(exact->options_hash, key.hash)
-        << key.line << " @" << key.num_transactions;
-    EXPECT_EQ(fuse->options_hash, key.fuse_hash)
+    StatusOr<CanonicalRequest> canonical =
+        CanonicalizeRequestForSize(key.num_transactions, request->options);
+    ASSERT_TRUE(canonical.ok()) << key.line;
+    EXPECT_EQ(canonical->options_hash, key.hash)
         << key.line << " @" << key.num_transactions;
   }
 }
@@ -334,17 +329,43 @@ TEST(CanonicalizeRequestTest, RejectsContradictoryConstraints) {
   EXPECT_FALSE(CanonicalizeRequest(db, inverted).ok());
 }
 
-TEST(CanonicalizeRequestTest, FuseModeSaltsTheHash) {
-  ColossalMinerOptions options;
-  options.min_support_count = 3;
-  StatusOr<CanonicalRequest> exact =
-      CanonicalizeRequestForSize(10, options, /*fuse_mode=*/false);
-  StatusOr<CanonicalRequest> fuse =
-      CanonicalizeRequestForSize(10, options, /*fuse_mode=*/true);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(fuse.ok());
-  EXPECT_TRUE(exact->options == fuse->options);  // same canonical form
-  EXPECT_NE(exact->options_hash, fuse->options_hash);  // different keys
+TEST(CanonicalizeRequestTest, PoolMinerIsErased) {
+  // BuildInitialPool sorts the pool, so the miner that built it cannot
+  // affect the answer: an eclat request shares the apriori request's
+  // canonical form and cache key.
+  const TransactionDatabase db = MakeDiag(10);
+  ColossalMinerOptions apriori;
+  apriori.min_support_count = 3;
+  ColossalMinerOptions eclat = apriori;
+  eclat.pool_miner = PoolMiner::kEclat;
+
+  StatusOr<CanonicalRequest> a = CanonicalizeRequest(db, apriori);
+  StatusOr<CanonicalRequest> b = CanonicalizeRequest(db, eclat);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(a->options == b->options);
+  EXPECT_EQ(a->options_hash, b->options_hash);
+  EXPECT_EQ(b->options.pool_miner, PoolMiner::kApriori);
+}
+
+TEST(ParseRequestLineTest, ShardsExactParsesAndFuseIsRejected) {
+  StatusOr<MineRequest> exact =
+      ParseRequestLine("--in d.manifest --min-support 5 --shards exact");
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_TRUE(exact->shards_requested);
+
+  StatusOr<MineRequest> fuse =
+      ParseRequestLine("--in d.manifest --min-support 5 --shards fuse");
+  ASSERT_FALSE(fuse.ok());
+  EXPECT_EQ(fuse.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(fuse.status().message().find("--shards fuse was removed"),
+            std::string::npos)
+      << fuse.status().ToString();
+
+  StatusOr<MineRequest> unknown =
+      ParseRequestLine("--in d.manifest --min-support 5 --shards bogus");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ResultCacheKeyTest, HashAndEquality) {

@@ -1,5 +1,8 @@
 #include "shard/shard_manifest.h"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -198,7 +201,11 @@ TEST(ShardPlannerTest, RejectsBadKnobs) {
 
 TEST(ShardPlannerTest, WriteShardedSnapshotsProducesLoadableShards) {
   const TransactionDatabase db = MakeDiagPlus(12, 6).db;
-  const std::string dir = ::testing::TempDir();
+  // A nested directory that does not exist yet: the writer creates it.
+  const std::string root =
+      ::testing::TempDir() + "/planner_" + std::to_string(::getpid());
+  const std::string dir = root + "/nested/shards";
+  std::filesystem::remove_all(root);
   ShardPlanOptions options;
   options.num_shards = 3;
   StatusOr<std::vector<ShardRange>> plan = PlanShards(db, options);
@@ -226,6 +233,7 @@ TEST(ShardPlannerTest, WriteShardedSnapshotsProducesLoadableShards) {
     rows += shard->num_transactions();
   }
   EXPECT_EQ(rows, db.num_transactions());
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -134,34 +134,31 @@ TEST_F(ShardedMinerTest, ArenaBackedMineIsByteIdenticalAndRecordsPeaks) {
       plain.Mine(BaseOptions(), ShardMergeMode::kExact);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  for (ShardMergeMode mode : {ShardMergeMode::kExact, ShardMergeMode::kFuse}) {
-    std::atomic<int64_t> peak{0};
-    ShardResidencyOptions residency;
-    residency.arena_peak_bytes = &peak;
-    ShardedMiner miner(*manifest, DiskLoader(), residency);
+  std::atomic<int64_t> peak{0};
+  ShardResidencyOptions residency;
+  residency.arena_peak_bytes = &peak;
+  ShardedMiner miner(*manifest, DiskLoader(), residency);
 
-    StatusOr<ColossalMiningResult> heap = miner.Mine(BaseOptions(), mode);
-    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-    // Per-shard mining/re-count arenas report even without a request
-    // arena.
-    EXPECT_GT(peak.load(), 0) << ShardMergeModeName(mode);
+  StatusOr<ColossalMiningResult> heap =
+      miner.Mine(BaseOptions(), ShardMergeMode::kExact);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  // Per-shard mining/re-count arenas report even without a request
+  // arena.
+  EXPECT_GT(peak.load(), 0);
 
-    Arena request_arena;
-    StatusOr<ColossalMiningResult> arena_backed =
-        miner.Mine(BaseOptions(), mode, &request_arena);
-    ASSERT_TRUE(arena_backed.ok()) << arena_backed.status().ToString();
-    EXPECT_GT(request_arena.high_water_bytes(), 0);
+  Arena request_arena;
+  StatusOr<ColossalMiningResult> arena_backed =
+      miner.Mine(BaseOptions(), ShardMergeMode::kExact, &request_arena);
+  ASSERT_TRUE(arena_backed.ok()) << arena_backed.status().ToString();
+  EXPECT_GT(request_arena.high_water_bytes(), 0);
 
-    EXPECT_EQ(Render(*arena_backed), Render(*heap)) << ShardMergeModeName(mode);
-    ASSERT_EQ(arena_backed->patterns.size(), heap->patterns.size());
-    for (size_t i = 0; i < heap->patterns.size(); ++i) {
-      EXPECT_TRUE(arena_backed->patterns[i] == heap->patterns[i]) << i;
-      EXPECT_FALSE(arena_backed->patterns[i].support_set.arena_backed()) << i;
-    }
-    if (mode == ShardMergeMode::kExact) {
-      EXPECT_EQ(Render(*heap), Render(*reference));
-    }
+  EXPECT_EQ(Render(*arena_backed), Render(*heap));
+  ASSERT_EQ(arena_backed->patterns.size(), heap->patterns.size());
+  for (size_t i = 0; i < heap->patterns.size(); ++i) {
+    EXPECT_TRUE(arena_backed->patterns[i] == heap->patterns[i]) << i;
+    EXPECT_FALSE(arena_backed->patterns[i].support_set.arena_backed()) << i;
   }
+  EXPECT_EQ(Render(*heap), Render(*reference));
 }
 
 TEST_F(ShardedMinerTest, FanOutMatrixIsByteIdenticalToUnsharded) {
@@ -201,32 +198,6 @@ TEST_F(ShardedMinerTest, FanOutMatrixIsByteIdenticalToUnsharded) {
               << " threads=" << threads << " pattern " << i;
         }
       }
-    }
-  }
-}
-
-TEST_F(ShardedMinerTest, FuseModeIsInvariantAcrossFanOutAndThreads) {
-  StatusOr<ShardManifest> manifest =
-      ReadShardManifestFile((*manifest_paths_)[2]);  // 7 shards
-  ASSERT_TRUE(manifest.ok());
-  ShardedMiner miner(*manifest, DiskLoader());
-  ColossalMinerOptions sequential = BaseOptions();
-  sequential.shard_parallelism = 1;
-  StatusOr<ColossalMiningResult> reference =
-      miner.Mine(sequential, ShardMergeMode::kFuse);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  const std::string reference_text = Render(*reference);
-
-  for (int parallelism : {2, 4}) {
-    for (int threads : {1, 8}) {
-      ColossalMinerOptions options = BaseOptions();
-      options.shard_parallelism = parallelism;
-      options.num_threads = threads;
-      StatusOr<ColossalMiningResult> fused =
-          miner.Mine(options, ShardMergeMode::kFuse);
-      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-      EXPECT_EQ(Render(*fused), reference_text)
-          << "parallelism=" << parallelism << " threads=" << threads;
     }
   }
 }
@@ -425,31 +396,6 @@ TEST_F(ShardedMinerTest, ExactSigmaResolvesAgainstTheParentRowCount) {
   EXPECT_EQ(Render(*via_sigma), Render(*reference));
 }
 
-TEST_F(ShardedMinerTest, FuseModeYieldsGloballyFrequentPatterns) {
-  StatusOr<ShardManifest> manifest =
-      ReadShardManifestFile((*manifest_paths_)[2]);  // 7 shards
-  ASSERT_TRUE(manifest.ok());
-  ShardedMiner miner(*manifest, DiskLoader());
-  StatusOr<ColossalMiningResult> fused =
-      miner.Mine(BaseOptions(), ShardMergeMode::kFuse);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  ASSERT_FALSE(fused->patterns.empty());
-  for (const Pattern& pattern : fused->patterns) {
-    // Supports are recovered against the parent, never a shard alone.
-    EXPECT_EQ(pattern.support, db_->Support(pattern.items));
-    EXPECT_GE(pattern.support, 8);
-  }
-
-  // Deterministic for any thread count, like every engine in the
-  // library.
-  ColossalMinerOptions threaded = BaseOptions();
-  threaded.num_threads = 8;
-  StatusOr<ColossalMiningResult> fused_threaded =
-      miner.Mine(threaded, ShardMergeMode::kFuse);
-  ASSERT_TRUE(fused_threaded.ok());
-  EXPECT_EQ(Render(*fused_threaded), Render(*fused));
-}
-
 TEST_F(ShardedMinerTest, ShardFingerprintMismatchFailsWithStatus) {
   StatusOr<ShardManifest> manifest =
       ReadShardManifestFile((*manifest_paths_)[1]);
@@ -524,23 +470,6 @@ TEST_F(ShardedMinerTest, ServiceServesManifestsAndSharesTheExactCacheEntry) {
   ASSERT_TRUE(hit.status.ok());
   EXPECT_EQ(hit.source, ResponseSource::kCache);
   EXPECT_EQ(hit.result.get(), mined.result.get());
-}
-
-TEST_F(ShardedMinerTest, FuseModeCachesUnderItsOwnKey) {
-  MiningService service;
-  MineRequest exact = ManifestRequest(1);
-  MineRequest fuse = ManifestRequest(1);
-  fuse.shard_mode = ShardMergeMode::kFuse;
-  fuse.shards_requested = true;
-
-  ASSERT_TRUE(service.Mine(exact).status.ok());
-  MiningResponse fused = service.Mine(fuse);
-  ASSERT_TRUE(fused.status.ok()) << fused.status.ToString();
-  EXPECT_EQ(fused.source, ResponseSource::kMined);  // not the exact entry
-  MiningResponse fused_again = service.Mine(fuse);
-  ASSERT_TRUE(fused_again.status.ok());
-  EXPECT_EQ(fused_again.source, ResponseSource::kCache);
-  EXPECT_EQ(fused_again.result.get(), fused.result.get());
 }
 
 TEST_F(ShardedMinerTest, ShardsFlagOnANonManifestDatasetIsARequestError) {

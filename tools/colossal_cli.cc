@@ -25,9 +25,9 @@
 //             [--name NAME] [--format fimi|matrix|snapshot|auto]
 //       Partitions a dataset into contiguous row-range shards, writes
 //       one snapshot per shard plus a manifest (DIR/NAME.manifest; NAME
-//       defaults to the input's basename) tying them together. The
-//       mining service admits the manifest directly: request lines with
-//       --in DIR/NAME.manifest [--shards exact|fuse]
+//       defaults to the input's basename; DIR is created if missing)
+//       tying them together. The mining service admits the manifest
+//       directly: request lines with --in DIR/NAME.manifest [--shards exact]
 //       [--shard-parallelism N] mine it shard by shard under the
 //       registry budget, fanning phase 1 across shards up to what the
 //       budget admits (see shard/sharded_miner.h).
@@ -100,9 +100,10 @@ constexpr const char kShardUsage[] =
     "           (--shards N | --max-shard-mb N) [--name NAME]\n"
     "           [--format fimi|matrix|snapshot|auto]\n"
     "writes one snapshot per row-range shard plus DIR/NAME.manifest\n"
-    "(NAME defaults to the input's basename); serve the manifest with\n"
+    "(NAME defaults to the input's basename; DIR is created if missing);\n"
+    "serve the manifest with\n"
     "colossal_serve request lines: --in DIR/NAME.manifest\n"
-    "[--shards exact|fuse] [--shard-parallelism N]\n";
+    "[--shards exact] [--shard-parallelism N]\n";
 constexpr const char kEvaluateUsage[] =
     "usage: colossal_cli evaluate --mined FILE --reference FILE "
     "[--min-size N]\n";

@@ -8,7 +8,8 @@
 //       comments and blank lines ignored), fans them across the service
 //       pool, and prints a per-request table (timing, cache source) plus
 //       a summary. With --out-dir, request i's patterns are written to
-//       DIR/response_<i>.txt in FIMI output format. --threads 1 makes
+//       DIR/response_<i>.txt in FIMI output format (DIR is created if
+//       missing). --threads 1 makes
 //       replay order deterministic (duplicates hit the result cache
 //       instead of coalescing). Exits nonzero if any request failed.
 //   daemon  [--mining-threads N] [--shard-parallelism N]
@@ -69,21 +70,22 @@
 //   --in FILE [--format fimi|matrix|snapshot|manifest|auto]
 //   (--sigma F | --min-support N) [--tau F] [--k N] [--pool-size N]
 //   [--pool-miner apriori|eclat] [--max-iterations N] [--attempts N]
-//   [--retain N] [--seed S] [--threads N] [--shards exact|fuse]
+//   [--retain N] [--seed S] [--threads N] [--shards exact]
 //   [--shard-parallelism N] [--top-k N] [--include I1,I2,...]
 //   [--exclude I1,I2,...] [--min-len N] [--max-len N]
 //
 // Cache semantics: results are keyed by (dataset content fingerprint,
 // canonical options). Equivalent requests — e.g. --sigma 0.5 vs. the
-// --min-support it denotes, or any --threads value — share one entry,
+// --min-support it denotes, or any --threads or --pool-miner value —
+// share one entry,
 // and a repeated request is served from memory, bit-identical to a
 // fresh mine.
 //
 // Sharded datasets: when FILE is a shard manifest (colossal_cli shard),
 // the request mines shard by shard under the registry's memory budget.
-// --shards exact (the default) is byte-identical to unsharded mining of
-// the parent and shares its cache entries; --shards fuse runs the
-// approximate cross-shard fusion under its own cache key. Phase-1
+// The result is byte-identical to unsharded mining of the parent and
+// shares its cache entries; --shards exact only asserts that FILE is a
+// manifest (--shards fuse was removed and is rejected). Phase-1
 // per-shard mining fans out across --shard-parallelism concurrent shard
 // jobs (request flag, or the service-level default set here; 0 = auto),
 // capped by the residency governor so concurrently resident shards
@@ -91,11 +93,13 @@
 
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -138,7 +142,7 @@ constexpr const char kUsage[] =
     "    [--k N] [--pool-size N] [--pool-miner apriori|eclat]\n"
     "    [--max-iterations N] [--attempts N] [--retain N] [--seed S]\n"
     "    [--threads N] [--format fimi|matrix|snapshot|manifest|auto]\n"
-    "    [--shards exact|fuse] [--shard-parallelism N]   (shard manifests)\n"
+    "    [--shards exact] [--shard-parallelism N]   (shard manifests)\n"
     "    [--top-k N] [--include I1,I2,...] [--exclude I1,I2,...]\n"
     "    [--min-len N] [--max-len N]   (top-k / constrained mining)\n"
     "daemon/listen control words: stats (one-line counters), metrics\n"
@@ -261,6 +265,12 @@ int RunBatch(const Args& args) {
   }
 
   if (!out_dir.empty()) {
+    std::error_code error;
+    std::filesystem::create_directories(out_dir, error);
+    if (error) {
+      return Fail(Status::Internal("cannot create --out-dir " + out_dir +
+                                   ": " + error.message()));
+    }
     for (size_t i = 0; i < responses.size(); ++i) {
       if (!responses[i].result) continue;
       char name[32];
