@@ -12,6 +12,7 @@
 #include "common/arena.h"
 #include "common/bitvector.h"
 #include "common/bitvector_kernels.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/pattern.h"
@@ -72,19 +73,40 @@ void BM_SupportSet(benchmark::State& state) {
 }
 BENCHMARK(BM_SupportSet);
 
+// A fusion workload at one of the two support-set widths the paper's
+// runs exercise: words = 1 is the microarray stand-in (38 rows, pool
+// bound 2, σ·|D| = 30), words = 69 the program-trace stand-in (4,395
+// rows, pool bound 2 at its planted support). `center` is the first
+// planted pattern.
+struct FusionBenchData {
+  std::vector<Pattern> pool;
+  Pattern center;
+  int64_t min_support_count = 0;
+};
+
+FusionBenchData MakeFusionBenchData(int64_t words) {
+  LabeledDatabase labeled =
+      words == 1 ? MakeMicroarrayLike(1) : MakeProgramTraceLike(1);
+  const int64_t min_support = words == 1 ? 30 : labeled.min_support_count;
+  StatusOr<std::vector<Pattern>> pool =
+      BuildInitialPool(labeled.db, min_support, 2);
+  COLOSSAL_CHECK(pool.ok()) << pool.status().ToString();
+  return {*std::move(pool), MakePattern(labeled.db, labeled.planted[0]),
+          min_support};
+}
+
 void BM_BallQuery(benchmark::State& state) {
-  LabeledDatabase labeled = MakeMicroarrayLike(1);
-  StatusOr<std::vector<Pattern>> pool = BuildInitialPool(labeled.db, 30, 2);
-  const Pattern center = MakePattern(labeled.db, labeled.planted[0]);
+  const FusionBenchData data = MakeFusionBenchData(state.range(0));
   const double radius = BallRadius(0.5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BallQuery(*pool, center, radius));
+    benchmark::DoNotOptimize(BallQuery(data.pool, data.center, radius));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(pool->size()));
+                          static_cast<int64_t>(data.pool.size()));
 }
-BENCHMARK(BM_BallQuery);
+BENCHMARK(BM_BallQuery)->ArgName("words")->Arg(1)->Arg(69);
 
+// An unshuffled ball walked from the pair {0, 1}.
 void BM_FuseOnce(benchmark::State& state) {
   LabeledDatabase labeled = MakeMicroarrayLike(1);
   StatusOr<std::vector<Pattern>> pool = BuildInitialPool(labeled.db, 30, 2);
@@ -101,6 +123,34 @@ void BM_FuseOnce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FuseOnce);
+
+// The engine's access pattern (FusionEngine::ProcessSeed): a pool
+// pattern's ball, shuffled, fused to saturation. Cycles through 16
+// seeds drawn from the pool; items/s counts ball members walked.
+void BM_FuseOnceShuffledPool(benchmark::State& state) {
+  const FusionBenchData data = MakeFusionBenchData(state.range(0));
+  const int64_t pool_size = static_cast<int64_t>(data.pool.size());
+  const double radius = BallRadius(0.5);
+  Rng rng(7);
+  std::vector<int64_t> seeds;
+  std::vector<std::vector<int64_t>> balls;
+  for (int i = 0; i < 16; ++i) {
+    seeds.push_back(rng.UniformInt(0, pool_size - 1));
+    balls.push_back(BallQuery(
+        data.pool, data.pool[static_cast<size_t>(seeds.back())], radius));
+    rng.Shuffle(balls.back());
+  }
+  int64_t walked = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FuseOnce(data.pool, balls[next], seeds[next],
+                                      data.min_support_count, 0.5));
+    walked += static_cast<int64_t>(balls[next].size());
+    next = (next + 1) % seeds.size();
+  }
+  state.SetItemsProcessed(walked);
+}
+BENCHMARK(BM_FuseOnceShuffledPool)->ArgName("words")->Arg(1)->Arg(69);
 
 void BM_AprioriPoolTrace(benchmark::State& state) {
   LabeledDatabase labeled = MakeProgramTraceLike(1);

@@ -20,24 +20,23 @@ double BallRadius(double tau) {
   return 1.0 - 1.0 / (2.0 / tau - 1.0);
 }
 
+bool WithinBall(int64_t common, int64_t a_support, int64_t b_support,
+                double radius) {
+  const int64_t united = a_support + b_support - common;
+  const double distance =
+      united == 0 ? 0.0
+                  : 1.0 - static_cast<double>(common) /
+                              static_cast<double>(united);
+  return distance <= radius + kBallEpsilon;
+}
+
 std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
                                const Pattern& center, double radius) {
   std::vector<int64_t> members;
-  const bool keep_disjoint = 1.0 <= radius + kBallEpsilon;
   for (size_t i = 0; i < pool.size(); ++i) {
-    const Bitvector& other = pool[i].support_set;
-    // Disjoint support sets sit at distance 1 (or 0 when both are empty,
-    // by convention); AndNone's early exit makes this the common-case
-    // fast path on sparse pools like Diag, where most pairs share no
-    // transactions.
-    if (Bitvector::AndNone(other, center.support_set)) {
-      if (keep_disjoint ||
-          (other.None() && center.support_set.None())) {
-        members.push_back(static_cast<int64_t>(i));
-      }
-      continue;
-    }
-    if (PatternDistance(pool[i], center) <= radius + kBallEpsilon) {
+    const int64_t common =
+        Bitvector::AndCount(pool[i].support_set, center.support_set);
+    if (WithinBall(common, pool[i].support, center.support, radius)) {
       members.push_back(static_cast<int64_t>(i));
     }
   }

@@ -1,6 +1,7 @@
 #ifndef COLOSSAL_CORE_PATTERN_DISTANCE_H_
 #define COLOSSAL_CORE_PATTERN_DISTANCE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/pattern.h"
@@ -22,9 +23,20 @@ double PatternDistance(const Pattern& a, const Pattern& b);
 // Requires τ ∈ (0, 1].
 double BallRadius(double tau);
 
-// Indices of every pool pattern within `radius` of `center` (inclusive,
-// with a small epsilon so boundary cases like Diag's exact-2/3 distances
-// are kept). The center itself, if present in the pool, is included.
+// The ball-membership test on support counts: with common = |D_α ∩ D_β|
+// and the two supports |D_α|, |D_β|, returns Dist(α, β) ≤ radius, where
+// |D_α ∪ D_β| = |D_α| + |D_β| − common. Inclusive, with a small epsilon
+// so boundary cases like Diag's exact-2/3 distances are kept. Disjoint
+// sets sit at distance 1, two empty sets at 0.
+bool WithinBall(int64_t common, int64_t a_support, int64_t b_support,
+                double radius);
+
+// Indices of every pool pattern within `radius` (≥ 0) of `center`, by
+// WithinBall. The center itself, if present in the pool, is included.
+// Precondition: every pattern's cached `support` equals
+// `support_set.Count()` — each pair costs one AndCount, and the union
+// size comes from the cached supports (FusionEngine::Run enforces this
+// for its pool).
 std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
                                const Pattern& center, double radius);
 

@@ -72,6 +72,30 @@ std::vector<FusionCandidate> SampleByWeight(
   return kept;
 }
 
+// The running fusion's itemset as a bitmap over item ids, so testing a
+// ball member's items costs one probe each instead of a sorted-list
+// scan of the (often colossal) fused itemset. Sized from the largest id
+// set so far; ids past the end read as absent.
+class ItemBitmap {
+ public:
+  explicit ItemBitmap(const Itemset& items) { SetAll(items); }
+
+  bool Test(ItemId item) const {
+    const size_t word = item / 64;
+    return word < words_.size() && ((words_[word] >> (item % 64)) & 1) != 0;
+  }
+
+  void SetAll(const Itemset& items) {
+    if (items.empty()) return;
+    const size_t needed = static_cast<size_t>(items.items().back()) / 64 + 1;
+    if (words_.size() < needed) words_.resize(needed, 0);
+    for (ItemId item : items) words_[item / 64] |= uint64_t{1} << (item % 64);
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
 }  // namespace
 
 FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
@@ -90,24 +114,29 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
   // τ-core of the running fusion R, i.e. |D_R| ≥ τ·|D_β|. D_R only
   // shrinks, so it suffices to keep |D_R| ≥ τ·max merged support.
   int64_t max_merged_support = seed.support;
+  ItemBitmap fused_items(seed.items);
 
   for (int64_t index : ball_order) {
     if (max_merges != 0 && outcome.merged_count >= max_merges) break;
     if (index == seed_index) continue;
     const Pattern& member = pool[static_cast<size_t>(index)];
-    if (member.items.IsSubsetOf(outcome.fused.items)) {
-      // Already absorbed; merging would change nothing.
-      continue;
+    // |β ∩ R| by bit probes. Without an item bound only "is β already
+    // absorbed?" matters, so the count stops at the first miss.
+    int shared_items = 0;
+    for (ItemId item : member.items) {
+      if (fused_items.Test(item)) {
+        ++shared_items;
+      } else if (max_items == 0) {
+        break;
+      }
     }
-    if (max_items != 0) {
-      // |R ∪ β| via inclusion–exclusion on the item lists — rejected
-      // before any support-set work, so an over-long merge costs no
-      // Bitvector traffic.
-      const int64_t union_items =
-          static_cast<int64_t>(outcome.fused.items.size()) +
-          static_cast<int64_t>(member.items.size()) -
-          IntersectionSize(outcome.fused.items, member.items);
-      if (union_items > max_items) continue;
+    // Already absorbed; merging would change nothing.
+    if (shared_items == member.size()) continue;
+    // |R ∪ β| by inclusion–exclusion — rejected before any support-set
+    // work, so an over-long merge costs no Bitvector traffic.
+    if (max_items != 0 &&
+        outcome.fused.size() + member.size() - shared_items > max_items) {
+      continue;
     }
     // Popcount the would-be intersection first; the merged support set
     // is only materialized (in place) once the merge is accepted.
@@ -121,6 +150,7 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
     if (static_cast<double>(merged_support) < needed) continue;
 
     outcome.fused.items = Union(outcome.fused.items, member.items);
+    fused_items.SetAll(member.items);
     outcome.fused.support_set.AndWith(member.support_set);
     outcome.fused.support = merged_support;
     max_merged_support = std::max(max_merged_support, member.support);
@@ -190,6 +220,14 @@ StatusOr<PatternFusionResult> FusionEngine::Run(
       return Status::InvalidArgument(
           "initial pool pattern " + pattern.items.ToString() +
           " is infrequent (support " + std::to_string(pattern.support) + ")");
+    }
+    // BallQuery takes each union size from the cached supports.
+    if (pattern.support_set.size_bits() != num_transactions_ ||
+        pattern.support != pattern.support_set.Count()) {
+      return Status::InvalidArgument(
+          "initial pool pattern " + pattern.items.ToString() +
+          " has a support set inconsistent with its support or with the " +
+          std::to_string(num_transactions_) + " transactions");
     }
   }
 

@@ -139,8 +139,10 @@ class FusionEngine {
 
   // Runs iterative pattern fusion from the given initial pool. The pool
   // patterns must carry support sets consistent with the database and be
-  // frequent at options.min_support_count. Fails on invalid options or
-  // an empty pool.
+  // frequent at options.min_support_count. Fails on invalid options, an
+  // empty pool, an infrequent pattern, or a pattern whose support set is
+  // not num_transactions bits wide or whose `support` is not its
+  // support set's Count() (BallQuery's precondition).
   StatusOr<PatternFusionResult> Run(std::vector<Pattern> initial_pool);
 
  private:

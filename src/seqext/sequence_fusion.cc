@@ -6,12 +6,11 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "core/pattern_distance.h"
 
 namespace colossal {
 
 namespace {
-
-double BallRadiusOf(double tau) { return 1.0 - 1.0 / (2.0 / tau - 1.0); }
 
 // One greedy fusion pass over the ball in the given order: merge via
 // shortest common supersequence while the merged pattern stays frequent
@@ -76,7 +75,7 @@ StatusOr<SequenceFusionResult> RunSequenceFusion(
   }
 
   Rng rng(options.seed);
-  const double radius = BallRadiusOf(options.tau);
+  const double radius = BallRadius(options.tau);
 
   std::vector<SequencePattern> pool = std::move(initial_pool);
   SequenceFusionResult result;
@@ -95,9 +94,9 @@ StatusOr<SequenceFusionResult> RunSequenceFusion(
       const SequencePattern& seed = pool[static_cast<size_t>(seed_index)];
       std::vector<int64_t> ball;
       for (size_t i = 0; i < pool.size(); ++i) {
-        if (Bitvector::JaccardDistance(pool[i].support_set,
-                                       seed.support_set) <=
-            radius + 1e-9) {
+        const int64_t common =
+            Bitvector::AndCount(pool[i].support_set, seed.support_set);
+        if (WithinBall(common, pool[i].support, seed.support, radius)) {
           ball.push_back(static_cast<int64_t>(i));
         }
       }

@@ -40,7 +40,9 @@ struct SequenceFusionResult {
 
 // Runs iterative sequence fusion from an initial pool of frequent
 // sequence patterns (mine one with MineFrequentSequences, bounded
-// length). Fails on invalid options or an empty pool.
+// length). Each pattern's `support` must equal its support set's
+// Count(): the ball test (WithinBall) reads union sizes from it. Fails
+// on invalid options or an empty pool.
 StatusOr<SequenceFusionResult> RunSequenceFusion(
     const SequenceDatabase& db, std::vector<SequencePattern> initial_pool,
     const SequenceFusionOptions& options);

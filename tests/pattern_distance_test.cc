@@ -198,5 +198,79 @@ TEST(BallQueryTest, BoundaryDistancesAreIncluded) {
   EXPECT_EQ(BallQuery(pool, center, BallRadius(0.5)).size(), 1u);
 }
 
+// BallQuery must keep exactly the patterns a brute-force PatternDistance
+// filter keeps, at every radius, including the degenerate pairs its
+// single-AndCount formula folds in: empty support sets (distance 0 to
+// each other, 1 to anything else) and disjoint sets (distance 1).
+void ExpectBallQueryMatchesBruteForce(const std::vector<Pattern>& pool,
+                                      double radius) {
+  for (const Pattern& center : pool) {
+    std::vector<int64_t> expected;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (PatternDistance(pool[i], center) <= radius + 1e-9) {
+        expected.push_back(static_cast<int64_t>(i));
+      }
+    }
+    EXPECT_EQ(BallQuery(pool, center, radius), expected)
+        << "center " << center.items.ToString() << " radius " << radius;
+  }
+}
+
+Pattern EmptySupportPattern(const TransactionDatabase& db, ItemId item) {
+  Pattern pattern;
+  pattern.items = Itemset::Single(item);
+  pattern.support_set = Bitvector(db.num_transactions());
+  return pattern;
+}
+
+TEST(BallQueryTest, MatchesBruteForceOnRandomPools) {
+  for (uint64_t seed : {1, 2, 3}) {
+    RandomDatabaseOptions options;
+    options.num_transactions = 50;
+    options.num_items = 12;
+    options.density = 0.3;
+    options.seed = seed;
+    TransactionDatabase db = MakeRandomDatabase(options);
+    std::vector<Pattern> pool;
+    for (ItemId i = 0; i < db.num_items(); ++i) {
+      for (ItemId j = i; j < db.num_items(); ++j) {
+        pool.push_back(MakePattern(db, Itemset::FromUnsorted({i, j})));
+      }
+    }
+    pool.push_back(EmptySupportPattern(db, 100));
+    pool.push_back(EmptySupportPattern(db, 101));
+    for (double radius : {0.0, 0.1, BallRadius(0.5), BallRadius(0.25),
+                          0.999, 1.0}) {
+      ExpectBallQueryMatchesBruteForce(pool, radius);
+    }
+  }
+}
+
+TEST(BallQueryTest, MatchesBruteForceOnDisjointAndBoundaryPairs) {
+  // DiagPlus: diag and colossal-block items never co-occur, so many
+  // pairs are disjoint (kept only at radius 1). Pure Diag halves that
+  // overlap by half sit at exactly 2/3 = r(0.5).
+  LabeledDatabase labeled = MakeDiagPlus(10, 5);
+  std::vector<Pattern> pool;
+  for (ItemId item : {0, 1, 2, 10, 11}) {
+    pool.push_back(MakePattern(labeled.db, Itemset::Single(item)));
+  }
+  pool.push_back(EmptySupportPattern(labeled.db, 200));
+  for (double radius : {BallRadius(0.5), 0.999, 1.0}) {
+    ExpectBallQueryMatchesBruteForce(pool, radius);
+  }
+
+  TransactionDatabase diag = MakeDiag(24);
+  std::vector<Pattern> halves;
+  for (ItemId start : {0, 6, 12}) {
+    std::vector<ItemId> items;
+    for (ItemId i = start; i < start + 12; ++i) items.push_back(i);
+    halves.push_back(MakePattern(diag, Itemset::FromUnsorted(items)));
+  }
+  EXPECT_NEAR(PatternDistance(halves[0], halves[1]), 2.0 / 3.0, 1e-12);
+  ExpectBallQueryMatchesBruteForce(halves, BallRadius(0.5));
+  EXPECT_EQ(BallQuery(halves, halves[0], BallRadius(0.5)).size(), 2u);
+}
+
 }  // namespace
 }  // namespace colossal

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/pattern_distance.h"
 #include "core/pattern_pool.h"
 #include "data/generators.h"
@@ -119,6 +120,124 @@ TEST(FuseOnceTest, ResultSatisfiesTauCoreInvariantForAllMerged) {
   }
 }
 
+// The itemset-scan FuseOnce that the bitmap version replaced, kept as
+// the reference for the differential test below.
+FusionOutcome ReferenceFuseOnce(const std::vector<Pattern>& pool,
+                                const std::vector<int64_t>& ball_order,
+                                int64_t seed_index, int64_t min_support_count,
+                                double tau, int max_merges, int max_items) {
+  const Pattern& seed = pool[static_cast<size_t>(seed_index)];
+  FusionOutcome outcome;
+  outcome.fused.items = seed.items;
+  outcome.fused.support_set = seed.support_set;
+  outcome.fused.support = seed.support;
+  outcome.merged_count = 1;
+  int64_t max_merged_support = seed.support;
+  for (int64_t index : ball_order) {
+    if (max_merges != 0 && outcome.merged_count >= max_merges) break;
+    if (index == seed_index) continue;
+    const Pattern& member = pool[static_cast<size_t>(index)];
+    if (member.items.IsSubsetOf(outcome.fused.items)) continue;
+    if (max_items != 0) {
+      const int64_t union_items =
+          static_cast<int64_t>(outcome.fused.items.size()) +
+          static_cast<int64_t>(member.items.size()) -
+          IntersectionSize(outcome.fused.items, member.items);
+      if (union_items > max_items) continue;
+    }
+    const int64_t merged_support =
+        Bitvector::AndCount(outcome.fused.support_set, member.support_set);
+    if (merged_support < min_support_count) continue;
+    const double needed =
+        tau * static_cast<double>(
+                  std::max(max_merged_support, member.support)) -
+        1e-12;
+    if (static_cast<double>(merged_support) < needed) continue;
+    outcome.fused.items = Union(outcome.fused.items, member.items);
+    outcome.fused.support_set.AndWith(member.support_set);
+    outcome.fused.support = merged_support;
+    max_merged_support = std::max(max_merged_support, member.support);
+    ++outcome.merged_count;
+  }
+  return outcome;
+}
+
+Itemset RenameItem(const Itemset& items, ItemId from, ItemId to) {
+  std::vector<ItemId> renamed = items.items();
+  std::replace(renamed.begin(), renamed.end(), from, to);
+  return Itemset::FromUnsorted(std::move(renamed));
+}
+
+class FuseOnceDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FuseOnceDifferentialTest, MatchesItemsetScanReference) {
+  // 90 items, so fused itemsets span several bitmap words; the most
+  // frequent item is renamed to a sparse high id, so merging it grows
+  // the bitmap.
+  RandomDatabaseOptions db_options;
+  db_options.num_transactions = 30;
+  db_options.num_items = 90;
+  db_options.density = 0.6;
+  db_options.seed = GetParam();
+  TransactionDatabase db = MakeRandomDatabase(db_options);
+  const int64_t min_support = 8;
+  ItemId most_frequent = 0;
+  for (ItemId i = 1; i < db.num_items(); ++i) {
+    if (db.Support(Itemset::Single(i)) >
+        db.Support(Itemset::Single(most_frequent))) {
+      most_frequent = i;
+    }
+  }
+  constexpr ItemId kSparseId = 5000;
+
+  std::vector<Pattern> pool;
+  for (ItemId i = 0; i < db.num_items(); ++i) {
+    for (ItemId j = i; j < db.num_items(); ++j) {
+      Pattern pattern = MakePattern(db, Itemset::FromUnsorted({i, j}));
+      if (pattern.support < min_support) continue;
+      pattern.items = RenameItem(pattern.items, most_frequent, kSparseId);
+      pool.push_back(std::move(pattern));
+    }
+  }
+  ASSERT_GT(pool.size(), 100u);
+
+  Rng rng(GetParam());
+  std::vector<int64_t> order(pool.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<int64_t>(i);
+  }
+  bool grew_past_64 = false;
+  bool absorbed_sparse_id = false;
+  for (int trial = 0; trial < 12; ++trial) {
+    rng.Shuffle(order);
+    const int64_t seed_index =
+        rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1);
+    for (int max_merges : {0, 2, 16}) {
+      for (int max_items : {0, 3, 6}) {
+        const FusionOutcome expected = ReferenceFuseOnce(
+            pool, order, seed_index, min_support, 0.5, max_merges, max_items);
+        const FusionOutcome actual = FuseOnce(pool, order, seed_index,
+                                              min_support, 0.5, max_merges,
+                                              nullptr, max_items);
+        ASSERT_EQ(actual.fused.items, expected.fused.items)
+            << "trial " << trial << " max_merges " << max_merges
+            << " max_items " << max_items;
+        EXPECT_EQ(actual.fused.support, expected.fused.support);
+        EXPECT_EQ(actual.fused.support_set, expected.fused.support_set);
+        EXPECT_EQ(actual.merged_count, expected.merged_count);
+        const std::vector<ItemId>& items = actual.fused.items.items();
+        if (!items.empty() && items.back() >= 64) grew_past_64 = true;
+        if (actual.fused.items.Contains(kSparseId)) absorbed_sparse_id = true;
+      }
+    }
+  }
+  EXPECT_TRUE(grew_past_64);
+  EXPECT_TRUE(absorbed_sparse_id);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FuseOnceDifferentialTest,
+                         ::testing::Values(1, 2, 3, 4));
+
 // --- RunPatternFusion ------------------------------------------------------
 
 TEST(PatternFusionTest, ValidatesOptions) {
@@ -146,6 +265,30 @@ TEST(PatternFusionTest, RejectsInfrequentPoolPatterns) {
   options.min_support_count = 200;  // abcef has support 100
   StatusOr<PatternFusionResult> result = RunPatternFusion(db, pool, options);
   EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PatternFusionTest, RejectsPoolPatternsWithInconsistentSupport) {
+  TransactionDatabase db = MakePaperFigure3();
+  PatternFusionOptions options;
+  options.min_support_count = 100;
+
+  // A cached support that disagrees with the support set (ab: 200 rows).
+  Pattern wrong_support = MakePattern(db, Itemset({0, 1}));
+  wrong_support.support = 250;
+  StatusOr<PatternFusionResult> result = RunPatternFusion(
+      db, {MakePattern(db, Itemset({0})), wrong_support}, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  // A support set that is not one bit per transaction.
+  Pattern wrong_width;
+  wrong_width.items = Itemset({0});
+  wrong_width.support_set = Bitvector(db.num_transactions() + 1);
+  for (int64_t row = 0; row < 150; ++row) wrong_width.support_set.Set(row);
+  wrong_width.support = 150;
+  result = RunPatternFusion(db, {wrong_width}, options);
+  ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
