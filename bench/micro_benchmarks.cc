@@ -236,24 +236,6 @@ void BM_KernelAndCount(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelAndCount)->Apply(KernelSizes);
 
-void BM_KernelAndNone(benchmark::State& state) {
-  ForceScalarGuard guard(state.range(1) != 0);
-  const int64_t num_bits = state.range(0);
-  // Sparse operands with no shared bits: the worst case (full scan —
-  // any shared bit would early-exit).
-  Bitvector a(num_bits);
-  Bitvector b(num_bits);
-  for (int64_t i = 0; i < num_bits; i += 2) {
-    a.Set(i);
-    if (i + 1 < num_bits) b.Set(i + 1);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Bitvector::AndNone(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * num_bits);
-}
-BENCHMARK(BM_KernelAndNone)->Apply(KernelSizes);
-
 void BM_KernelCount(benchmark::State& state) {
   ForceScalarGuard guard(state.range(1) != 0);
   const Bitvector a = RandomBits(state.range(0), 0.4, 1);

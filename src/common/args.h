@@ -105,6 +105,19 @@ class Args {
     return static_cast<int64_t>(value);
   }
 
+  // Integer flag bounded to [min, max]: a value outside the range is an
+  // InvalidArgument "--<key> out of range" instead of a silent wrap when
+  // the caller narrows it to int.
+  StatusOr<int64_t> GetIntInRange(const std::string& key, int64_t fallback,
+                                  int64_t min, int64_t max) const {
+    StatusOr<int64_t> value = GetInt(key, fallback);
+    if (!value.ok()) return value;
+    if (*value < min || *value > max) {
+      return Status::InvalidArgument("--" + key + " out of range");
+    }
+    return value;
+  }
+
   StatusOr<double> GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;

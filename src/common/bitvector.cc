@@ -143,24 +143,9 @@ int64_t Bitvector::Count() const {
   return ActiveBitvectorKernels().popcount_words(words_, num_words());
 }
 
-bool Bitvector::None() const {
-  return ActiveBitvectorKernels().none_words(words_, num_words());
-}
-
-bool Bitvector::AndNone(const Bitvector& a, const Bitvector& b) {
-  COLOSSAL_CHECK(a.num_bits_ == b.num_bits_);
-  return ActiveBitvectorKernels().and_none_words(a.words_, b.words_,
-                                                 a.num_words());
-}
-
 void Bitvector::AndWith(const Bitvector& other) {
   COLOSSAL_CHECK(num_bits_ == other.num_bits_);
   ActiveBitvectorKernels().and_words(words_, other.words_, num_words());
-}
-
-void Bitvector::OrWith(const Bitvector& other) {
-  COLOSSAL_CHECK(num_bits_ == other.num_bits_);
-  ActiveBitvectorKernels().or_words(words_, other.words_, num_words());
 }
 
 void Bitvector::OrWithShifted(const Bitvector& other, int64_t offset) {
@@ -171,21 +156,10 @@ void Bitvector::OrWithShifted(const Bitvector& other, int64_t offset) {
       static_cast<int>(offset % kWordBits));
 }
 
-void Bitvector::AndNotWith(const Bitvector& other) {
-  COLOSSAL_CHECK(num_bits_ == other.num_bits_);
-  ActiveBitvectorKernels().andnot_words(words_, other.words_, num_words());
-}
-
 Bitvector Bitvector::And(const Bitvector& a, const Bitvector& b,
                          Arena* arena) {
   Bitvector result(a, arena);
   result.AndWith(b);
-  return result;
-}
-
-Bitvector Bitvector::Or(const Bitvector& a, const Bitvector& b, Arena* arena) {
-  Bitvector result(a, arena);
-  result.OrWith(b);
   return result;
 }
 
@@ -205,10 +179,6 @@ bool Bitvector::IsSubsetOf(const Bitvector& other) const {
   COLOSSAL_CHECK(num_bits_ == other.num_bits_);
   return ActiveBitvectorKernels().subset_words(words_, other.words_,
                                                num_words());
-}
-
-bool Bitvector::Intersects(const Bitvector& a, const Bitvector& b) {
-  return !AndNone(a, b);
 }
 
 double Bitvector::JaccardDistance(const Bitvector& a, const Bitvector& b) {
@@ -238,18 +208,6 @@ std::string Bitvector::ToString() const {
   out.reserve(static_cast<size_t>(num_bits_));
   for (int64_t i = 0; i < num_bits_; ++i) out.push_back(Test(i) ? '1' : '0');
   return out;
-}
-
-uint64_t Bitvector::HashValue() const {
-  // FNV-1a over words, seeded with the length so that equal prefixes of
-  // different lengths do not collide trivially.
-  uint64_t hash = 1469598103934665603ULL ^ static_cast<uint64_t>(num_bits_);
-  const int64_t n = num_words();
-  for (int64_t i = 0; i < n; ++i) {
-    hash ^= words_[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
 }
 
 bool operator==(const Bitvector& a, const Bitvector& b) {

@@ -78,15 +78,8 @@ class Bitvector {
   // Number of set bits.
   int64_t Count() const;
 
-  // True iff no bit is set. Early-exits on the first nonzero word, so
-  // it is O(1) on typical nonempty support sets (vs. Count()'s full
-  // popcount scan).
-  bool None() const;
-
-  // In-place algebra; both operands must have equal size_bits().
+  // In-place intersection; both operands must have equal size_bits().
   void AndWith(const Bitvector& other);
-  void OrWith(const Bitvector& other);
-  void AndNotWith(const Bitvector& other);  // this &= ~other
 
   // this |= (other << offset): ORs `other` into this at bit positions
   // [offset, offset + other.size_bits()). Word-parallel; the shard layer
@@ -95,27 +88,16 @@ class Bitvector {
   // fit within size_bits().
   void OrWithShifted(const Bitvector& other, int64_t offset);
 
-  // Out-of-place algebra. The arena overloads back the result with
-  // `arena` (heap when null); the two-argument forms are heap-backed.
+  // Out-of-place intersection, backed by `arena` (heap when null).
   static Bitvector And(const Bitvector& a, const Bitvector& b,
                        Arena* arena = nullptr);
-  static Bitvector Or(const Bitvector& a, const Bitvector& b,
-                      Arena* arena = nullptr);
 
   // |a ∩ b| / |a ∪ b| popcounts without materializing the result.
   static int64_t AndCount(const Bitvector& a, const Bitvector& b);
   static int64_t OrCount(const Bitvector& a, const Bitvector& b);
 
-  // True iff a ∩ b is empty (the negation of Intersects, named for
-  // pruning call sites): rejects disjoint support sets without
-  // materializing — or even fully popcounting — the intersection.
-  static bool AndNone(const Bitvector& a, const Bitvector& b);
-
   // True iff every set bit of *this is set in `other`.
   bool IsSubsetOf(const Bitvector& other) const;
-
-  // True iff a and b share at least one set bit.
-  static bool Intersects(const Bitvector& a, const Bitvector& b);
 
   // Jaccard distance 1 − |a∩b|/|a∪b| (the paper's pattern distance,
   // Definition 6, when a and b are support sets). Two empty sets are at
@@ -127,9 +109,6 @@ class Bitvector {
 
   // Renders as e.g. "0110" (bit 0 first). Intended for tests/debugging.
   std::string ToString() const;
-
-  // 64-bit content hash (position-sensitive), for dedup tables.
-  uint64_t HashValue() const;
 
   // Appends a compact binary encoding to `out`: the bit length as a
   // little-endian int64, then the packed words little-endian. The

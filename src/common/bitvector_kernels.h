@@ -21,19 +21,15 @@ struct BitvectorKernels {
   // as simd=<name> so operators can see what actually resolved.
   const char* name;
 
-  // dst[i] &= src[i] / dst[i] |= src[i] / dst[i] &= ~src[i].
+  // dst[i] &= src[i].
   void (*and_words)(uint64_t* dst, const uint64_t* src, int64_t n);
-  void (*or_words)(uint64_t* dst, const uint64_t* src, int64_t n);
-  void (*andnot_words)(uint64_t* dst, const uint64_t* src, int64_t n);
 
   // Popcount reductions (no result materialization).
   int64_t (*popcount_words)(const uint64_t* words, int64_t n);
   int64_t (*and_count_words)(const uint64_t* a, const uint64_t* b, int64_t n);
   int64_t (*or_count_words)(const uint64_t* a, const uint64_t* b, int64_t n);
 
-  // Early-exit predicates: all words zero / a & b all zero / a ⊆ b.
-  bool (*none_words)(const uint64_t* words, int64_t n);
-  bool (*and_none_words)(const uint64_t* a, const uint64_t* b, int64_t n);
+  // Early-exit predicate: a ⊆ b.
   bool (*subset_words)(const uint64_t* a, const uint64_t* b, int64_t n);
 
   // The shard-stitch kernel: ORs the `src_words`-word source into dst at

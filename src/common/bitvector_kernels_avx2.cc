@@ -7,8 +7,8 @@
 //
 // Popcounts use the pshufb nibble-lookup (Muła) reduction:
 // per-byte counts via two 16-entry table shuffles, summed into 64-bit
-// lanes with _mm256_sad_epu8. Predicates use VPTEST so disjointness and
-// subset checks never leave flags. All loops finish with scalar tails;
+// lanes with _mm256_sad_epu8. The subset predicate uses VPTEST, so it
+// never leaves flags. All loops finish with scalar tails;
 // results are bit-identical to the scalar backend by construction.
 
 #include <cstdint>
@@ -60,6 +60,7 @@ void AndWords(uint64_t* dst, const uint64_t* src, int64_t n) {
   for (; i < n; ++i) dst[i] &= src[i];
 }
 
+// dst[i] |= src[i]: the word-aligned case of OrShiftedWords.
 void OrWords(uint64_t* dst, const uint64_t* src, int64_t n) {
   int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -67,16 +68,6 @@ void OrWords(uint64_t* dst, const uint64_t* src, int64_t n) {
                                         LoadWords(src + i)));
   }
   for (; i < n; ++i) dst[i] |= src[i];
-}
-
-void AndNotWords(uint64_t* dst, const uint64_t* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // vpandn computes ~first & second.
-    StoreWords(dst + i, _mm256_andnot_si256(LoadWords(src + i),
-                                            LoadWords(dst + i)));
-  }
-  for (; i < n; ++i) dst[i] &= ~src[i];
 }
 
 int64_t PopcountWords(const uint64_t* words, int64_t n) {
@@ -116,30 +107,6 @@ int64_t OrCountWords(const uint64_t* a, const uint64_t* b, int64_t n) {
   return total;
 }
 
-bool NoneWords(const uint64_t* words, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = LoadWords(words + i);
-    if (!_mm256_testz_si256(v, v)) return false;
-  }
-  for (; i < n; ++i) {
-    if (words[i] != 0) return false;
-  }
-  return true;
-}
-
-bool AndNoneWords(const uint64_t* a, const uint64_t* b, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // vptest ZF: (a & b) == 0 without materializing the intersection.
-    if (!_mm256_testz_si256(LoadWords(a + i), LoadWords(b + i))) return false;
-  }
-  for (; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return false;
-  }
-  return true;
-}
-
 bool SubsetWords(const uint64_t* a, const uint64_t* b, int64_t n) {
   int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -169,9 +136,8 @@ void OrShiftedWords(uint64_t* dst, const uint64_t* src, int64_t src_words,
 
 const BitvectorKernels* Avx2BitvectorKernels() {
   static constexpr BitvectorKernels kAvx2 = {
-      "avx2",        AndWords,      OrWords,     AndNotWords,
-      PopcountWords, AndCountWords, OrCountWords, NoneWords,
-      AndNoneWords,  SubsetWords,   OrShiftedWords,
+      "avx2",       AndWords,    PopcountWords,  AndCountWords,
+      OrCountWords, SubsetWords, OrShiftedWords,
   };
   return &kAvx2;
 }

@@ -14,14 +14,6 @@ void AndWords(uint64_t* dst, const uint64_t* src, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] &= src[i];
 }
 
-void OrWords(uint64_t* dst, const uint64_t* src, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-void AndNotWords(uint64_t* dst, const uint64_t* src, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] &= ~src[i];
-}
-
 int64_t PopcountWords(const uint64_t* words, int64_t n) {
   int64_t total = 0;
   for (int64_t i = 0; i < n; ++i) total += std::popcount(words[i]);
@@ -38,20 +30,6 @@ int64_t OrCountWords(const uint64_t* a, const uint64_t* b, int64_t n) {
   int64_t total = 0;
   for (int64_t i = 0; i < n; ++i) total += std::popcount(a[i] | b[i]);
   return total;
-}
-
-bool NoneWords(const uint64_t* words, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    if (words[i] != 0) return false;
-  }
-  return true;
-}
-
-bool AndNoneWords(const uint64_t* a, const uint64_t* b, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return false;
-  }
-  return true;
 }
 
 bool SubsetWords(const uint64_t* a, const uint64_t* b, int64_t n) {
@@ -80,9 +58,8 @@ void OrShiftedWords(uint64_t* dst, const uint64_t* src, int64_t src_words,
 
 const BitvectorKernels& ScalarBitvectorKernels() {
   static constexpr BitvectorKernels kScalar = {
-      "scalar",      AndWords,      OrWords,     AndNotWords,
-      PopcountWords, AndCountWords, OrCountWords, NoneWords,
-      AndNoneWords,  SubsetWords,   OrShiftedWords,
+      "scalar",     AndWords,    PopcountWords,  AndCountWords,
+      OrCountWords, SubsetWords, OrShiftedWords,
   };
   return kScalar;
 }

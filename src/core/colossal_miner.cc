@@ -18,7 +18,6 @@ StatusOr<ColossalMinerOptions> CanonicalizeMinerOptionsForSize(
   }
   canonical.num_threads = 0;
   canonical.shard_parallelism = 0;
-  canonical.pool_miner = PoolMiner::kApriori;
   Status constraints_ok = CanonicalizeConstraints(&canonical.constraints);
   if (!constraints_ok.ok()) return constraints_ok;
   if (canonical.top_k < 0) {
@@ -104,7 +103,7 @@ StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
   PhaseTimer pool_timer(trace, TracePhase::kPoolMine);
   StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
       db, canonical->min_support_count, canonical->initial_pool_max_size,
-      options.pool_miner, options.num_threads, arena,
+      PoolMiner::kApriori, options.num_threads, arena,
       canonical->constraints);
   pool_timer.Stop();
   if (!pool.ok()) return pool.status();

@@ -34,9 +34,8 @@ struct ColossalMinerOptions {
   // this size (paper uses 2 or 3 depending on the dataset).
   int initial_pool_max_size = 3;
 
-  // Which complete miner builds the pool. A pure performance knob:
-  // BuildInitialPool sorts the pool, so output is identical either way,
-  // and canonicalization resets it to kApriori.
+  // Always kApriori, the only pool miner (see PoolMiner): a
+  // single-valued placeholder kept because the perfbench harness reads it.
   PoolMiner pool_miner = PoolMiner::kApriori;
 
   // Fusion parameters (see PatternFusionOptions).
@@ -56,7 +55,7 @@ struct ColossalMinerOptions {
   // byte-identical to before the knob existed).
   int top_k = 0;
 
-  // Item/cardinality constraints, pushed into the pool miners (items
+  // Item/cardinality constraints, pushed into the pool miner (items
   // outside the vocabulary never materialize Bitvectors), the fusion
   // merge step (max_len), and the final answer (min_len). Default
   // (unconstrained) is byte-identical to before the knob existed.
@@ -79,12 +78,12 @@ struct ColossalMinerOptions {
   int shard_parallelism = 0;
 
   // Field-wise equality (every knob, including the performance-only
-  // num_threads and shard_parallelism).
+  // num_threads and shard_parallelism; pool_miner has one value).
   friend bool operator==(const ColossalMinerOptions& a,
                          const ColossalMinerOptions& b) {
     return a.sigma == b.sigma && a.min_support_count == b.min_support_count &&
            a.initial_pool_max_size == b.initial_pool_max_size &&
-           a.pool_miner == b.pool_miner && a.tau == b.tau && a.k == b.k &&
+           a.tau == b.tau && a.k == b.k &&
            a.max_iterations == b.max_iterations &&
            a.fusion_attempts_per_seed == b.fusion_attempts_per_seed &&
            a.max_superpatterns_per_seed == b.max_superpatterns_per_seed &&
@@ -100,9 +99,8 @@ struct ColossalMinerOptions {
 //   * a fractional sigma is resolved against `db` into the absolute
 //     min_support_count it denotes (then cleared), so sigma 0.5 and the
 //     matching --min-support collapse;
-//   * num_threads and shard_parallelism are zeroed and pool_miner is
-//     reset to kApriori, because all three are pure performance knobs
-//     (output is bit-identical for any value);
+//   * num_threads and shard_parallelism are zeroed, because both are
+//     pure performance knobs (output is bit-identical for any value);
 //   * constraints are canonicalized (lists sorted/deduplicated, no-op
 //     bounds erased — see CanonicalizeConstraints), so equal
 //     constraints in any spelling collapse;
@@ -139,8 +137,8 @@ struct ColossalMiningResult {
 
 // Runs initial-pool mining + Pattern-Fusion end to end — the one
 // unsharded pipeline every caller (CLI, examples, the mining service)
-// goes through. Execution takes num_threads and pool_miner from
-// `options` as given; everything else from its canonical form.
+// goes through. Execution takes num_threads from `options` as given;
+// everything else from its canonical form.
 //
 // `arena`, when given, backs every mining temporary (initial-pool
 // support sets, fusion scratch) so the whole mine frees in one

@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "core/pattern_distance.h"
 #include "mining/apriori.h"
-#include "mining/eclat.h"
 
 namespace colossal {
 
@@ -313,7 +312,7 @@ StatusOr<PatternFusionResult> RunPatternFusion(
 
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
-    int max_pattern_size, PoolMiner miner, int num_threads, Arena* arena,
+    int max_pattern_size, PoolMiner /*miner*/, int num_threads, Arena* arena,
     const MiningConstraints& constraints) {
   if (max_pattern_size < 1) {
     return Status::InvalidArgument("max_pattern_size must be >= 1");
@@ -324,22 +323,19 @@ StatusOr<std::vector<Pattern>> BuildInitialPool(
   miner_options.num_threads = num_threads;
   miner_options.arena = arena;
   miner_options.constraints = constraints;
-  StatusOr<MiningResult> mined = miner == PoolMiner::kApriori
-                                     ? MineApriori(db, miner_options)
-                                     : MineEclat(db, miner_options);
+  StatusOr<MiningResult> mined = MineApriori(db, miner_options);
   if (!mined.ok()) return mined.status();
   if (mined->patterns.empty()) {
     return Status::FailedPrecondition(
         "no frequent patterns at min_support_count " +
         std::to_string(min_support_count));
   }
-  // Normalize to (size, lexicographic) order — Apriori's natural
-  // level-wise order, imposed on Eclat's DFS order too. The fusion
-  // engine is pool-order-sensitive (seed draws index the pool), so this
-  // is what makes the mining output independent of the pool miner, and
-  // what lets the sharded miner recover a positionally identical pool
-  // without ever seeing the unsharded enumeration.
-  SortPatterns(&mined->patterns);
+  // The pool order is Apriori's emission order: level by level, and
+  // within a level in join-row order, which is (size, lexicographic)
+  // order already. The fusion engine is pool-order-sensitive (seed draws
+  // index the pool); the sharded miner's phase 3 sorts its stitched
+  // candidates into this same order, which is what makes its pool
+  // positionally identical to this one.
   return MakePatterns(db, mined->patterns, arena);
 }
 

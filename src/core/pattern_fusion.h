@@ -164,22 +164,20 @@ StatusOr<PatternFusionResult> RunPatternFusion(
     const TransactionDatabase& db, std::vector<Pattern> initial_pool,
     const PatternFusionOptions& options);
 
-// Which complete miner builds the initial pool. The paper allows "any
-// existing efficient mining algorithm"; both choices produce the
-// identical pool — BuildInitialPool normalizes to (size, lexicographic)
-// order, so downstream fusion output is byte-identical for either
-// miner — with different cost profiles: breadth-first Apriori reuses
-// level-(k−1) support sets, depth-first Eclat uses less transient
-// memory.
+// The complete miner that builds the initial pool. Apriori is the only
+// one: the paper allows "any existing efficient mining algorithm", and
+// Apriori's level-wise emission order already is the pool order. The
+// enum, ColossalMinerOptions::pool_miner and BuildInitialPool's `miner`
+// parameter remain as single-valued placeholders (like ShardMergeMode)
+// only because the perfbench harness still names them.
 enum class PoolMiner {
   kApriori,
-  kEclat,
 };
 
 // Builds the initial pool (paper §2.3 phase 1): the complete set of
 // frequent patterns of size ≤ max_pattern_size, with support sets
-// materialized, in (size, lexicographic) order regardless of the miner.
-// `num_threads` (0 = auto) parallelizes the underlying miner; the pool
+// materialized, in (size, lexicographic) order. `miner` must be
+// kApriori. `num_threads` (0 = auto) parallelizes the underlying miner; the pool
 // is identical for any value.
 // With an arena, the pool's support sets are arena-backed (the pool
 // must then not outlive the arena; fusion copies its answer out, so

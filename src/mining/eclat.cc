@@ -51,9 +51,9 @@ struct EclatState {
   // Expands the node whose itemset is `prefix`. `extensions` holds the
   // (item, tidset) pairs that extend `prefix` frequently, every item
   // larger than the last prefix item; each child's own extension list is
-  // built by intersecting tidsets before recursing.
+  // built by intersecting tidsets before recursing — unless the child is
+  // already max_size long, so no level past the bound is ever counted.
   void Recurse(const std::vector<std::pair<ItemId, Bitvector>>& extensions) {
-    if (static_cast<int>(prefix.size()) >= max_size) return;
     for (size_t i = 0; i < extensions.size(); ++i) {
       if (result->stats.budget_exceeded) return;
       prefix.push_back(extensions[i].first);
@@ -61,9 +61,11 @@ struct EclatState {
           {Itemset::FromSorted(prefix),
            extensions[i].second.Count()});
 
-      std::vector<std::pair<ItemId, Bitvector>> child_extensions =
-          ExpandChild(extensions, i, *options, result->stats);
-      if (!result->stats.budget_exceeded) Recurse(child_extensions);
+      if (static_cast<int>(prefix.size()) < max_size) {
+        std::vector<std::pair<ItemId, Bitvector>> child_extensions =
+            ExpandChild(extensions, i, *options, result->stats);
+        if (!result->stats.budget_exceeded) Recurse(child_extensions);
+      }
       prefix.pop_back();
       if (result->stats.budget_exceeded) return;
     }
@@ -120,12 +122,14 @@ StatusOr<MiningResult> MineEclat(const TransactionDatabase& db,
           fragment.patterns.push_back(
               {Itemset::Single(roots[static_cast<size_t>(i)].first),
                roots[static_cast<size_t>(i)].second.Count()});
-          std::vector<std::pair<ItemId, Bitvector>> child_extensions =
-              ExpandChild(roots, static_cast<size_t>(i), options,
-                          fragment.stats);
-          EclatState state{&db, &options, &fragment, max_size,
-                           {roots[static_cast<size_t>(i)].first}};
-          state.Recurse(child_extensions);
+          if (max_size > 1) {
+            std::vector<std::pair<ItemId, Bitvector>> child_extensions =
+                ExpandChild(roots, static_cast<size_t>(i), options,
+                            fragment.stats);
+            EclatState state{&db, &options, &fragment, max_size,
+                             {roots[static_cast<size_t>(i)].first}};
+            state.Recurse(child_extensions);
+          }
           return fragment;
         });
     for (MiningResult& fragment : fragments) {

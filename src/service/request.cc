@@ -200,12 +200,9 @@ StatusOr<MineRequest> ParseRequestLine(const std::string& line) {
        std::numeric_limits<int>::max(), &options.constraints.max_len},
   };
   for (const auto& flag : int_flags) {
-    StatusOr<int64_t> value = args.GetInt(flag.flag, flag.fallback);
+    StatusOr<int64_t> value =
+        args.GetIntInRange(flag.flag, flag.fallback, flag.min, flag.max);
     if (!value.ok()) return value.status();
-    if (*value < flag.min || *value > flag.max) {
-      return Status::InvalidArgument(std::string("--") + flag.flag +
-                                     " out of range");
-    }
     *flag.target = static_cast<int>(*value);
   }
 
@@ -226,14 +223,17 @@ StatusOr<MineRequest> ParseRequestLine(const std::string& line) {
   if (!seed.ok()) return seed.status();
   options.seed = static_cast<uint64_t>(*seed);
 
+  // Apriori is the only pool miner; the flag survives as a no-op so
+  // existing request lines that spell it still parse.
   const std::string pool_miner = args.GetString("pool-miner", "apriori");
-  if (pool_miner == "apriori") {
-    options.pool_miner = PoolMiner::kApriori;
-  } else if (pool_miner == "eclat") {
-    options.pool_miner = PoolMiner::kEclat;
-  } else {
+  if (pool_miner == "eclat") {
+    return Status::InvalidArgument(
+        "--pool-miner eclat was removed (Apriori builds the same pool "
+        "faster); use --pool-miner apriori or omit the flag");
+  }
+  if (pool_miner != "apriori") {
     return Status::InvalidArgument("unknown --pool-miner '" + pool_miner +
-                                   "' (want apriori|eclat)");
+                                   "' (want apriori)");
   }
   return request;
 }

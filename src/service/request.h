@@ -46,7 +46,8 @@ struct CanonicalRequest {
 // Stable content hash over the result-affecting option fields. Operates
 // on already-canonical options (call through CanonicalizeRequest);
 // num_threads, pool_miner and sigma are hashed too, which is harmless
-// because canonicalization has zeroed/reset/resolved them.
+// because canonicalization has zeroed/resolved them and pool_miner has
+// one value.
 //
 // Versioning: the legacy fields hash exactly as they always have, and
 // the mode extensions (top_k, constraints) fold in — under a version
@@ -61,7 +62,7 @@ uint64_t HashMinerOptions(const ColossalMinerOptions& options);
 // (see CanonicalizeMinerOptionsForSize — canonicalization depends on
 // the dataset only through |D|) and hashes the result. Equivalent
 // requests — sigma vs. the absolute support it denotes, any
-// num_threads/shard_parallelism/pool_miner, constraint lists in any
+// num_threads/shard_parallelism, constraint lists in any
 // order — collapse to one CanonicalRequest.
 StatusOr<CanonicalRequest> CanonicalizeRequestForSize(
     int64_t num_transactions, const ColossalMinerOptions& options);
@@ -92,14 +93,16 @@ struct ResultCacheKeyHash {
 //
 //   --in FILE [--format fimi|matrix|snapshot|manifest|auto]
 //   (--sigma F | --min-support N) [--tau F] [--k N] [--pool-size N]
-//   [--pool-miner apriori|eclat] [--max-iterations N] [--attempts N]
+//   [--pool-miner apriori] [--max-iterations N] [--attempts N]
 //   [--retain N] [--seed S] [--threads N] [--shards exact]
 //   [--shard-parallelism N]
 //   [--top-k N] [--include I1,I2,...] [--exclude I1,I2,...]
 //   [--min-len N] [--max-len N]
 //
-// --threads, --shard-parallelism and --pool-miner only steer execution:
-// output is identical for every value, so they never split a cache key.
+// --threads and --shard-parallelism only steer execution: output is
+// identical for every value, so they never split a cache key.
+// --pool-miner apriori is a no-op: Apriori is the only pool miner
+// (--pool-miner eclat was removed and is rejected).
 // --shards exact asserts a shard-manifest dataset (--shards fuse was
 // removed and is rejected).
 // --top-k N asks for the K largest patterns under the result order

@@ -16,7 +16,6 @@
 #include "core/pattern.h"
 #include "data/snapshot_io.h"
 #include "mining/apriori.h"
-#include "mining/eclat.h"
 #include "mining/miner.h"
 
 namespace colossal {
@@ -293,9 +292,7 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     // vocabulary never materializes a per-shard Bitvector, exactly as in
     // the unsharded BuildInitialPool path.
     miner_options.constraints = canonical->constraints;
-    StatusOr<MiningResult> mined = options.pool_miner == PoolMiner::kApriori
-                                       ? MineApriori(*shard->db, miner_options)
-                                       : MineEclat(*shard->db, miner_options);
+    StatusOr<MiningResult> mined = MineApriori(*shard->db, miner_options);
     if (!mined.ok()) return mined.status();
     std::vector<Itemset> mined_items;
     mined_items.reserve(mined->patterns.size());
@@ -409,8 +406,9 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   RecordArenaPeak(residency_.arena_peak_bytes, recount_scratch);
 
   // Phase 3 — keep the globally frequent candidates and order them the
-  // way the level-wise miners enumerate (size, then lexicographic), so
-  // the exact pool is positionally identical to BuildInitialPool's.
+  // way Apriori emits them (size, then lexicographic), so the exact pool
+  // is positionally identical to BuildInitialPool's. The sort is needed
+  // here: candidates arrive in first-appearance order across shards.
   std::vector<Pattern> pool;
   for (size_t c = 0; c < candidates.size(); ++c) {
     const int64_t support = global_support[c].Count();

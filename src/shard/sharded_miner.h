@@ -158,8 +158,8 @@ class ShardedMiner {
 
   // Mines the sharded dataset. `options` is interpreted exactly as
   // MineColossal interprets it (sigma resolved against the manifest's
-  // transaction count; num_threads, shard_parallelism and pool_miner are
-  // pure performance knobs). `mode` must be kExact.
+  // transaction count; num_threads and shard_parallelism are pure
+  // performance knobs). `mode` must be kExact.
   //
   // `arena`, when given, backs the cross-shard phases (the stitched
   // global support sets and fusion scratch) exactly as MineColossal's

@@ -61,6 +61,25 @@ TEST(ArgsTest, NegativeNumbersParse) {
   EXPECT_DOUBLE_EQ(*args->GetDouble("x", 0.0), -0.25);
 }
 
+TEST(ArgsTest, GetIntInRangeRejectsValuesOutsideTheRange) {
+  StatusOr<Args> args = ParseVector(
+      {"--k", "4294967297", "--low", "-1", "--edge", "7", "--bad", "x"});
+  ASSERT_TRUE(args.ok());
+  // A value that would wrap when narrowed to int is an error, not k=1.
+  StatusOr<int64_t> k = args->GetIntInRange("k", 100, 1, 2147483647);
+  ASSERT_FALSE(k.ok());
+  EXPECT_EQ(k.status().message(), "--k out of range");
+  EXPECT_FALSE(args->GetIntInRange("low", 0, 0, 10).ok());
+  // Both bounds are inclusive, and an absent flag yields the fallback.
+  EXPECT_EQ(*args->GetIntInRange("edge", 0, 7, 7), 7);
+  EXPECT_EQ(*args->GetIntInRange("absent", 3, 1, 5), 3);
+  // A non-numeric value keeps GetInt's message.
+  StatusOr<int64_t> bad = args->GetIntInRange("bad", 0, 0, 10);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("expects an integer"),
+            std::string::npos);
+}
+
 TEST(ArgsTest, CheckKnownCatchesTypos) {
   StatusOr<Args> args = ParseVector({"--dataseet", "diag"});
   ASSERT_TRUE(args.ok());

@@ -138,30 +138,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_pair(50, 0.1), std::make_pair(100, 0.25),
                       std::make_pair(100, 0.5)));
 
-TEST(ColossalMinerTest, PoolMinerChoiceGivesIdenticalResults) {
-  // BuildInitialPool sorts the pool, so the miner that built it cannot
-  // change the answer: same patterns in the same order, same trajectory.
-  LabeledDatabase labeled = MakeDiagPlus(20, 10);
-  ColossalMinerOptions options;
-  options.min_support_count = labeled.min_support_count;
-  options.initial_pool_max_size = 2;
-  options.k = 30;
-  options.seed = 9;
-  options.pool_miner = PoolMiner::kApriori;
-  StatusOr<ColossalMiningResult> apriori = MineColossal(labeled.db, options);
-  options.pool_miner = PoolMiner::kEclat;
-  StatusOr<ColossalMiningResult> eclat = MineColossal(labeled.db, options);
-  ASSERT_TRUE(apriori.ok());
-  ASSERT_TRUE(eclat.ok());
-  EXPECT_EQ(apriori->initial_pool_size, eclat->initial_pool_size);
-  EXPECT_EQ(apriori->iterations, eclat->iterations);
-  ASSERT_EQ(apriori->patterns.size(), eclat->patterns.size());
-  for (size_t i = 0; i < apriori->patterns.size(); ++i) {
-    EXPECT_TRUE(apriori->patterns[i] == eclat->patterns[i]) << i;
-  }
-  EXPECT_TRUE(ResultContains(*eclat, labeled.planted[0]));
-}
-
 TEST(ColossalMinerTest, TraceRecordsPoolMineAndFusionPhases) {
   LabeledDatabase labeled = MakeDiagPlus(20, 10);
   ColossalMinerOptions options;

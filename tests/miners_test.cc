@@ -379,6 +379,44 @@ TEST(EclatTest, MatchesAprioriOnFigure3WithSizeBound) {
   EXPECT_EQ(Sorted(eclat->patterns), Sorted(apriori->patterns));
 }
 
+TEST(EclatTest, SizeBoundCountsNoCandidatePastIt) {
+  // On Diag(12) at support 1 every itemset of up to 11 items is
+  // frequent, so a bound of k expands exactly sum_{i<=k} C(12, i) nodes
+  // and emits as many patterns. Eclat must not count a level beyond k.
+  const TransactionDatabase db = MakeDiag(12);
+  int64_t exact_nodes = 0;
+  int64_t choose = 1;
+  for (int k = 1; k <= 3; ++k) {
+    choose = choose * (12 - k + 1) / k;
+    exact_nodes += choose;
+    MinerOptions options;
+    options.min_support_count = 1;
+    options.max_pattern_size = k;
+    for (int threads : {1, 4}) {
+      options.num_threads = threads;
+      StatusOr<MiningResult> apriori = MineApriori(db, options);
+      StatusOr<MiningResult> eclat = MineEclat(db, options);
+      ASSERT_TRUE(apriori.ok());
+      ASSERT_TRUE(eclat.ok());
+      EXPECT_EQ(apriori->stats.nodes_expanded, exact_nodes) << k;
+      EXPECT_EQ(eclat->stats.nodes_expanded, exact_nodes)
+          << "k=" << k << " threads=" << threads;
+    }
+
+    // A budget of exactly the node count is enough; one less is not.
+    options.max_nodes = exact_nodes;
+    StatusOr<MiningResult> budgeted = MineEclat(db, options);
+    ASSERT_TRUE(budgeted.ok());
+    EXPECT_FALSE(budgeted->stats.budget_exceeded) << k;
+    EXPECT_EQ(static_cast<int64_t>(budgeted->patterns.size()), exact_nodes)
+        << k;
+    options.max_nodes = exact_nodes - 1;
+    StatusOr<MiningResult> short_budget = MineEclat(db, options);
+    ASSERT_TRUE(short_budget.ok());
+    EXPECT_TRUE(short_budget->stats.budget_exceeded) << k;
+  }
+}
+
 TEST(FpGrowthTest, HandlesSingleTransaction) {
   StatusOr<TransactionDatabase> db =
       TransactionDatabase::FromTransactions({{2, 5, 9}});

@@ -143,19 +143,19 @@ TEST_F(MiningServiceTest, ThreadCountDoesNotSplitTheCacheKey) {
 }
 
 TEST_F(MiningServiceTest, PoolMinerDoesNotSplitTheCacheKey) {
-  // The pool is sorted whichever miner builds it, so an eclat request is
-  // answered from the apriori request's entry, byte for byte.
+  // --pool-miner apriori is a no-op spelling, so it is answered from the
+  // plain request's entry, byte for byte.
   MiningService service;
   const std::string line = "--in " + *fimi_path_ +
                            " --min-support 8 --k 20 --pool-size 2";
-  StatusOr<MineRequest> apriori = ParseRequestLine(line);
-  StatusOr<MineRequest> eclat = ParseRequestLine(line + " --pool-miner eclat");
-  ASSERT_TRUE(apriori.ok());
-  ASSERT_TRUE(eclat.ok());
-  ASSERT_EQ(eclat->options.pool_miner, PoolMiner::kEclat);
+  StatusOr<MineRequest> plain = ParseRequestLine(line);
+  StatusOr<MineRequest> spelled =
+      ParseRequestLine(line + " --pool-miner apriori");
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(spelled.ok());
 
-  MiningResponse first = service.Mine(*apriori);
-  MiningResponse second = service.Mine(*eclat);
+  MiningResponse first = service.Mine(*plain);
+  MiningResponse second = service.Mine(*spelled);
   ASSERT_TRUE(first.status.ok()) << first.status.ToString();
   ASSERT_TRUE(second.status.ok()) << second.status.ToString();
   EXPECT_EQ(first.source, ResponseSource::kMined);
@@ -166,8 +166,8 @@ TEST_F(MiningServiceTest, PoolMinerDoesNotSplitTheCacheKey) {
   EXPECT_EQ(payload,
             PatternsToString(ToFrequentItemsets(first.result->patterns)));
 
-  // And the cached answer is what eclat mines on its own.
-  StatusOr<ColossalMiningResult> fresh = MineColossal(*db_, eclat->options);
+  // And the cached answer is what the spelled-out request mines alone.
+  StatusOr<ColossalMiningResult> fresh = MineColossal(*db_, spelled->options);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(payload, PatternsToString(ToFrequentItemsets(fresh->patterns)));
 }

@@ -462,22 +462,41 @@ TEST(PatternFusionTest, AllReturnedPatternsAreFrequentAndConsistent) {
   }
 }
 
-TEST(BuildInitialPoolTest, AprioriAndEclatPoolsAreIdentical) {
-  LabeledDatabase labeled = MakeDiagPlus(16, 8);
-  StatusOr<std::vector<Pattern>> apriori = BuildInitialPool(
-      labeled.db, labeled.min_support_count, 3, PoolMiner::kApriori);
-  StatusOr<std::vector<Pattern>> eclat = BuildInitialPool(
-      labeled.db, labeled.min_support_count, 3, PoolMiner::kEclat);
-  ASSERT_TRUE(apriori.ok());
-  ASSERT_TRUE(eclat.ok());
-  auto key = [](const Pattern& pattern) { return pattern.items; };
-  std::vector<Itemset> a;
-  std::vector<Itemset> b;
-  for (const Pattern& pattern : *apriori) a.push_back(key(pattern));
-  for (const Pattern& pattern : *eclat) b.push_back(key(pattern));
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
+TEST(BuildInitialPoolTest, PoolIsInSizeLexOrderWithoutASort) {
+  // BuildInitialPool keeps Apriori's emission order, and fusion (and the
+  // sharded miner's phase 3) rely on it being strictly (size, lex).
+  RandomDatabaseOptions random_options;
+  random_options.num_transactions = 60;
+  random_options.num_items = 24;
+  random_options.density = 0.35;
+  random_options.seed = 17;
+  const TransactionDatabase random_db = MakeRandomDatabase(random_options);
+  const LabeledDatabase labeled = MakeDiagPlus(16, 8);
+  MiningConstraints excluded;
+  excluded.exclude = {0, 3, 5};
+  auto before = [](const Pattern& a, const Pattern& b) {
+    if (a.size() != b.size()) return a.size() < b.size();
+    return a.items < b.items;
+  };
+  for (const auto& [db, min_support] :
+       {std::make_pair(&labeled.db, labeled.min_support_count),
+        std::make_pair(&random_db, int64_t{6})}) {
+    for (const MiningConstraints& constraints :
+         {MiningConstraints(), excluded}) {
+      for (int threads : {1, 4}) {
+        StatusOr<std::vector<Pattern>> pool =
+            BuildInitialPool(*db, min_support, 3, PoolMiner::kApriori,
+                             threads, nullptr, constraints);
+        ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+        ASSERT_GT(pool->size(), 3u);
+        EXPECT_GT(pool->back().size(), 1);
+        for (size_t i = 1; i < pool->size(); ++i) {
+          ASSERT_TRUE(before((*pool)[i - 1], (*pool)[i]))
+              << "threads=" << threads << " at " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(BuildInitialPoolTest, FailsWhenNothingIsFrequent) {

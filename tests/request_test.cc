@@ -75,7 +75,7 @@ TEST(CanonicalizeRequestTest, ResultAffectingKnobsChangeTheHash) {
   variants[1].k = 7;
   variants[2].seed = 99;
   variants[3].min_support_count = 4;
-  variants[4].initial_pool_max_size = 2;  // pool_miner is erased instead
+  variants[4].initial_pool_max_size = 2;
   for (const ColossalMinerOptions& variant : variants) {
     StatusOr<CanonicalRequest> other = CanonicalizeRequest(db, variant);
     ASSERT_TRUE(other.ok());
@@ -94,7 +94,7 @@ TEST(CanonicalizeRequestTest, RejectsSigmaAboveOne) {
 TEST(ParseRequestLineTest, ParsesFullGrammar) {
   StatusOr<MineRequest> request = ParseRequestLine(
       "--in data.fimi --format fimi --sigma 0.25 --tau 0.4 --k 50 "
-      "--pool-size 2 --pool-miner eclat --max-iterations 9 --attempts 3 "
+      "--pool-size 2 --pool-miner apriori --max-iterations 9 --attempts 3 "
       "--retain 4 --seed 11 --threads 2 --shard-parallelism 4");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
   EXPECT_EQ(request->dataset_path, "data.fimi");
@@ -103,7 +103,7 @@ TEST(ParseRequestLineTest, ParsesFullGrammar) {
   EXPECT_DOUBLE_EQ(request->options.tau, 0.4);
   EXPECT_EQ(request->options.k, 50);
   EXPECT_EQ(request->options.initial_pool_max_size, 2);
-  EXPECT_EQ(request->options.pool_miner, PoolMiner::kEclat);
+  EXPECT_EQ(request->options.pool_miner, PoolMiner::kApriori);
   EXPECT_EQ(request->options.max_iterations, 9);
   EXPECT_EQ(request->options.fusion_attempts_per_seed, 3);
   EXPECT_EQ(request->options.max_superpatterns_per_seed, 4);
@@ -156,9 +156,8 @@ TEST(ParseRequestLineTest, UnknownFlagErrorListsKnownFlags) {
 // captured from the pre-refactor binary; if one of them moves, cached
 // results, in-flight dedup and cross-version replay all break. The
 // mode-extension fields hash only when set, which is exactly what keeps
-// these stable. The --pool-miner eclat rows are the one deliberate
-// change: pool_miner is erased by canonicalization, so they now carry
-// the key of the same line without the flag.
+// these stable. The --pool-miner apriori rows carry the key of the same
+// line without the flag: the spelling is a no-op.
 TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
   struct GoldenKey {
     const char* line;
@@ -171,11 +170,11 @@ TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
       {"--in data.fimi --min-support 12 --k 10 --pool-size 2", 4395,
        0xb66730b5020a57d3ULL},
       {"--in data.fimi --sigma 0.25 --tau 0.4 --k 50 --pool-size 2 "
-       "--pool-miner eclat --max-iterations 9 --attempts 3 --retain 4 "
+       "--pool-miner apriori --max-iterations 9 --attempts 3 --retain 4 "
        "--seed 11 --threads 2 --shard-parallelism 4",
        100, 0x18c2ac83764f60c5ULL},
       {"--in data.fimi --sigma 0.25 --tau 0.4 --k 50 --pool-size 2 "
-       "--pool-miner eclat --max-iterations 9 --attempts 3 --retain 4 "
+       "--pool-miner apriori --max-iterations 9 --attempts 3 --retain 4 "
        "--seed 11 --threads 2 --shard-parallelism 4",
        4395, 0xc1d389a214ebdddeULL},
       {"--in d.snap --min-support 20", 100, 0x543d6b0fe3bebe84ULL},
@@ -329,25 +328,6 @@ TEST(CanonicalizeRequestTest, RejectsContradictoryConstraints) {
   EXPECT_FALSE(CanonicalizeRequest(db, inverted).ok());
 }
 
-TEST(CanonicalizeRequestTest, PoolMinerIsErased) {
-  // BuildInitialPool sorts the pool, so the miner that built it cannot
-  // affect the answer: an eclat request shares the apriori request's
-  // canonical form and cache key.
-  const TransactionDatabase db = MakeDiag(10);
-  ColossalMinerOptions apriori;
-  apriori.min_support_count = 3;
-  ColossalMinerOptions eclat = apriori;
-  eclat.pool_miner = PoolMiner::kEclat;
-
-  StatusOr<CanonicalRequest> a = CanonicalizeRequest(db, apriori);
-  StatusOr<CanonicalRequest> b = CanonicalizeRequest(db, eclat);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->options == b->options);
-  EXPECT_EQ(a->options_hash, b->options_hash);
-  EXPECT_EQ(b->options.pool_miner, PoolMiner::kApriori);
-}
-
 TEST(ParseRequestLineTest, ShardsExactParsesAndFuseIsRejected) {
   StatusOr<MineRequest> exact =
       ParseRequestLine("--in d.manifest --min-support 5 --shards exact");
@@ -366,6 +346,23 @@ TEST(ParseRequestLineTest, ShardsExactParsesAndFuseIsRejected) {
       ParseRequestLine("--in d.manifest --min-support 5 --shards bogus");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParseRequestLineTest, PoolMinerAprioriParsesAndEclatIsRejected) {
+  StatusOr<MineRequest> plain = ParseRequestLine("--in d.fimi --min-support 5");
+  StatusOr<MineRequest> apriori =
+      ParseRequestLine("--in d.fimi --min-support 5 --pool-miner apriori");
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(apriori.ok()) << apriori.status().ToString();
+  EXPECT_TRUE(apriori->options == plain->options);
+
+  StatusOr<MineRequest> eclat =
+      ParseRequestLine("--in d.fimi --min-support 5 --pool-miner eclat");
+  ASSERT_FALSE(eclat.ok());
+  EXPECT_EQ(eclat.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(eclat.status().message().find("--pool-miner eclat was removed"),
+            std::string::npos)
+      << eclat.status().ToString();
 }
 
 TEST(ResultCacheKeyTest, HashAndEquality) {

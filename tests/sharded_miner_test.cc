@@ -348,35 +348,6 @@ TEST_F(ShardedMinerTest, EstimateOverestimatesActualResidentBytes) {
             db_->ApproxMemoryBytes());
 }
 
-TEST_F(ShardedMinerTest, ExactHoldsForTheEclatPoolMinerToo) {
-  // BuildInitialPool normalizes both miners to (size, lex) order, so
-  // the byte-identity contract — and the shared cache entry between
-  // sharded and unsharded requests — holds for --pool-miner eclat as
-  // well, not just the default Apriori.
-  ColossalMinerOptions options = BaseOptions();
-  options.pool_miner = PoolMiner::kEclat;
-  StatusOr<ColossalMiningResult> reference = MineColossal(*db_, options);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  // Pool-miner invariance of the unsharded pipeline itself.
-  StatusOr<ColossalMiningResult> via_apriori =
-      MineColossal(*db_, BaseOptions());
-  ASSERT_TRUE(via_apriori.ok());
-  EXPECT_EQ(Render(*reference), Render(*via_apriori));
-
-  StatusOr<ShardManifest> manifest =
-      ReadShardManifestFile((*manifest_paths_)[2]);  // 7 shards
-  ASSERT_TRUE(manifest.ok());
-  ShardedMiner miner(*manifest, DiskLoader());
-  StatusOr<ColossalMiningResult> sharded =
-      miner.Mine(options, ShardMergeMode::kExact);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ASSERT_EQ(sharded->patterns.size(), reference->patterns.size());
-  for (size_t i = 0; i < reference->patterns.size(); ++i) {
-    EXPECT_TRUE(sharded->patterns[i] == reference->patterns[i]) << i;
-  }
-}
-
 TEST_F(ShardedMinerTest, ExactSigmaResolvesAgainstTheParentRowCount) {
   // sigma 8/36 must behave exactly like --min-support 8, resolved from
   // the manifest's total transaction count, not any shard's.

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "common/args.h"
+#include "common/thread_pool.h"
 #include "core/colossal_miner.h"
 #include "core/evaluation.h"
 #include "data/dataset_io.h"
@@ -303,19 +304,19 @@ int RunMine(const Args& args) {
         "need --min-support N or --sigma F yielding a count >= 1"));
   }
 
-  ASSIGN_OR_FAIL(const int64_t k, args.GetInt("k", 100));
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  ASSIGN_OR_FAIL(const int64_t k, args.GetIntInRange("k", 100, 1, kIntMax));
   ASSIGN_OR_FAIL(const int64_t budget, args.GetInt("budget", 0));
-  ASSIGN_OR_FAIL(const int64_t max_size, args.GetInt("max-size", 0));
-  ASSIGN_OR_FAIL(const int64_t threads, args.GetInt("threads", 0));
-  if (threads < 0 || threads > std::numeric_limits<int>::max()) {
-    return Fail(Status::InvalidArgument(
-        "--threads must be in [0, INT_MAX] (0 = auto)"));
-  }
+  ASSIGN_OR_FAIL(const int64_t max_size,
+                 args.GetIntInRange("max-size", 0, 0, kIntMax));
+  ASSIGN_OR_FAIL(const int64_t threads,
+                 args.GetIntInRange("threads", 0, 0, kMaxExplicitThreads));
 
   const std::string algo = args.GetString("algo");
   if (algo == "pf") {
     ASSIGN_OR_FAIL(const double tau, args.GetDouble("tau", 0.5));
-    ASSIGN_OR_FAIL(const int64_t pool_size, args.GetInt("pool-size", 3));
+    ASSIGN_OR_FAIL(const int64_t pool_size,
+                   args.GetIntInRange("pool-size", 3, 1, kIntMax));
     ASSIGN_OR_FAIL(const int64_t seed, args.GetInt("seed", 1));
     ColossalMinerOptions options;
     options.min_support_count = min_support;
@@ -333,7 +334,8 @@ int RunMine(const Args& args) {
     return EmitResult(args, ToFrequentItemsets(result->patterns), false);
   }
   if (algo == "topk") {
-    ASSIGN_OR_FAIL(const int64_t min_length, args.GetInt("min-length", 1));
+    ASSIGN_OR_FAIL(const int64_t min_length,
+                   args.GetIntInRange("min-length", 1, 1, kIntMax));
     TopKOptions options;
     options.k = static_cast<int>(k);
     options.min_pattern_size = static_cast<int>(min_length);

@@ -69,15 +69,14 @@
 // Request line grammar (see service/request.h):
 //   --in FILE [--format fimi|matrix|snapshot|manifest|auto]
 //   (--sigma F | --min-support N) [--tau F] [--k N] [--pool-size N]
-//   [--pool-miner apriori|eclat] [--max-iterations N] [--attempts N]
+//   [--pool-miner apriori] [--max-iterations N] [--attempts N]
 //   [--retain N] [--seed S] [--threads N] [--shards exact]
 //   [--shard-parallelism N] [--top-k N] [--include I1,I2,...]
 //   [--exclude I1,I2,...] [--min-len N] [--max-len N]
 //
 // Cache semantics: results are keyed by (dataset content fingerprint,
 // canonical options). Equivalent requests — e.g. --sigma 0.5 vs. the
-// --min-support it denotes, or any --threads or --pool-miner value —
-// share one entry,
+// --min-support it denotes, or any --threads value — share one entry,
 // and a repeated request is served from memory, bit-identical to a
 // fresh mine.
 //
@@ -139,7 +138,7 @@ constexpr const char kUsage[] =
     "    --slow-log-file PATH (append slow-request lines there instead\n"
     "    of stderr)\n"
     "request lines: --in FILE (--sigma F | --min-support N) [--tau F]\n"
-    "    [--k N] [--pool-size N] [--pool-miner apriori|eclat]\n"
+    "    [--k N] [--pool-size N] [--pool-miner apriori]\n"
     "    [--max-iterations N] [--attempts N] [--retain N] [--seed S]\n"
     "    [--threads N] [--format fimi|matrix|snapshot|manifest|auto]\n"
     "    [--shards exact] [--shard-parallelism N]   (shard manifests)\n"
