@@ -80,10 +80,10 @@ int main() {
 
     table.AddRow(
         {std::to_string(sigma),
-         (maximal->stats.budget_exceeded ? ">" : "") +
-             TablePrinter::FormatSeconds(maximal_seconds),
-         (topk->stats.budget_exceeded ? ">" : "") +
-             TablePrinter::FormatSeconds(topk_seconds),
+         TablePrinter::FormatBudgetedSeconds(maximal_seconds,
+                                             maximal->stats.budget_exceeded),
+         TablePrinter::FormatBudgetedSeconds(topk_seconds,
+                                             topk->stats.budget_exceeded),
          TablePrinter::FormatSeconds(fusion_seconds),
          std::to_string(
              fusion->patterns.empty() ? 0 : fusion->patterns[0].size())});

@@ -5,7 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "core/pattern.h"
 #include "core/pattern_distance.h"
 #include "core/pattern_fusion.h"
+#include "core/pattern_pool.h"
 #include "data/dataset_io.h"
 #include "data/generators.h"
 #include "data/snapshot_io.h"
@@ -76,11 +80,13 @@ BENCHMARK(BM_SupportSet);
 // A fusion workload at one of the two support-set widths the paper's
 // runs exercise: words = 1 is the microarray stand-in (38 rows, pool
 // bound 2, σ·|D| = 30), words = 69 the program-trace stand-in (4,395
-// rows, pool bound 2 at its planted support). `center` is the first
-// planted pattern.
+// rows, pool bound 2 at its planted support). The pool is the columnar
+// one the engine scans; `center` is the first planted pattern, and
+// `pair_row` the pool row of {0, 1} (universal items in both).
 struct FusionBenchData {
-  std::vector<Pattern> pool;
+  PatternPool pool;
   Pattern center;
+  int64_t pair_row = -1;
   int64_t min_support_count = 0;
 };
 
@@ -88,56 +94,64 @@ FusionBenchData MakeFusionBenchData(int64_t words) {
   LabeledDatabase labeled =
       words == 1 ? MakeMicroarrayLike(1) : MakeProgramTraceLike(1);
   const int64_t min_support = words == 1 ? 30 : labeled.min_support_count;
-  StatusOr<std::vector<Pattern>> pool =
-      BuildInitialPool(labeled.db, min_support, 2);
+  StatusOr<PatternPool> pool =
+      BuildInitialPatternPool(labeled.db, min_support, 2);
   COLOSSAL_CHECK(pool.ok()) << pool.status().ToString();
-  return {*std::move(pool), MakePattern(labeled.db, labeled.planted[0]),
-          min_support};
+  COLOSSAL_CHECK(pool->words_per_row() == words);
+  FusionBenchData data{std::move(*pool),
+                       MakePattern(labeled.db, labeled.planted[0]), -1,
+                       min_support};
+  const ItemId pair[] = {0, 1};
+  for (int64_t i = 0; i < data.pool.size(); ++i) {
+    const std::span<const ItemId> items = data.pool.items(i);
+    if (std::equal(items.begin(), items.end(), std::begin(pair),
+                   std::end(pair))) {
+      data.pair_row = i;
+    }
+  }
+  COLOSSAL_CHECK(data.pair_row >= 0);
+  return data;
 }
 
 void BM_BallQuery(benchmark::State& state) {
   const FusionBenchData data = MakeFusionBenchData(state.range(0));
   const double radius = BallRadius(0.5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BallQuery(data.pool, data.center, radius));
+    benchmark::DoNotOptimize(BallQuery(data.pool, data.center.support_set.words(),
+                                       data.center.support, radius));
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.pool.size()));
+  state.SetItemsProcessed(state.iterations() * data.pool.size());
 }
 BENCHMARK(BM_BallQuery)->ArgName("words")->Arg(1)->Arg(69);
 
 // An unshuffled ball walked from the pair {0, 1}.
 void BM_FuseOnce(benchmark::State& state) {
-  LabeledDatabase labeled = MakeMicroarrayLike(1);
-  StatusOr<std::vector<Pattern>> pool = BuildInitialPool(labeled.db, 30, 2);
-  const Pattern center = MakePattern(labeled.db, Itemset({0, 1}));
-  std::vector<Pattern> pool_with_center = *pool;
-  pool_with_center.push_back(center);
-  const int64_t seed_index =
-      static_cast<int64_t>(pool_with_center.size()) - 1;
+  const FusionBenchData data = MakeFusionBenchData(state.range(0));
   const std::vector<int64_t> ball =
-      BallQuery(pool_with_center, center, BallRadius(0.5));
+      BallQuery(data.pool, data.pool.row(data.pair_row),
+                data.pool.support(data.pair_row), BallRadius(0.5));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        FuseOnce(pool_with_center, ball, seed_index, 30, 0.5));
+    benchmark::DoNotOptimize(FuseOnce(data.pool, ball, data.pair_row,
+                                      data.min_support_count, 0.5));
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ball.size()));
 }
-BENCHMARK(BM_FuseOnce);
+BENCHMARK(BM_FuseOnce)->ArgName("words")->Arg(1)->Arg(69);
 
 // The engine's access pattern (FusionEngine::ProcessSeed): a pool
 // pattern's ball, shuffled, fused to saturation. Cycles through 16
 // seeds drawn from the pool; items/s counts ball members walked.
 void BM_FuseOnceShuffledPool(benchmark::State& state) {
   const FusionBenchData data = MakeFusionBenchData(state.range(0));
-  const int64_t pool_size = static_cast<int64_t>(data.pool.size());
   const double radius = BallRadius(0.5);
   Rng rng(7);
   std::vector<int64_t> seeds;
   std::vector<std::vector<int64_t>> balls;
   for (int i = 0; i < 16; ++i) {
-    seeds.push_back(rng.UniformInt(0, pool_size - 1));
-    balls.push_back(BallQuery(
-        data.pool, data.pool[static_cast<size_t>(seeds.back())], radius));
+    seeds.push_back(rng.UniformInt(0, data.pool.size() - 1));
+    balls.push_back(BallQuery(data.pool, data.pool.row(seeds.back()),
+                              data.pool.support(seeds.back()), radius));
     rng.Shuffle(balls.back());
   }
   int64_t walked = 0;
@@ -384,25 +398,24 @@ void ThreadArgs(benchmark::internal::Benchmark* bench) {
 void BM_ThreadScalingBallQueries(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   LabeledDatabase labeled = MakeMicroarrayLike(1);
-  StatusOr<std::vector<Pattern>> pool =
-      BuildInitialPool(labeled.db, 30, 2, PoolMiner::kApriori, 1);
+  StatusOr<PatternPool> pool =
+      BuildInitialPatternPool(labeled.db, 30, 2, /*num_threads=*/1);
   if (!pool.ok() || pool->empty()) {
     state.SkipWithError("initial pool unavailable");
     return;
   }
   const double radius = BallRadius(0.5);
   constexpr int64_t kCenters = 100;  // K in the fig10 configuration
-  const int64_t pool_size = static_cast<int64_t>(pool->size());
+  const int64_t pool_size = pool->size();
   ThreadPool workers(threads);
   for (auto _ : state) {
     auto balls = ParallelMap(&workers, kCenters, [&](int64_t i) {
-      return BallQuery(*pool, (*pool)[static_cast<size_t>(i % pool_size)],
-                       radius);
+      return BallQuery(*pool, pool->row(i % pool_size),
+                       pool->support(i % pool_size), radius);
     });
     benchmark::DoNotOptimize(balls);
   }
-  state.SetItemsProcessed(state.iterations() * kCenters *
-                          static_cast<int64_t>(pool->size()));
+  state.SetItemsProcessed(state.iterations() * kCenters * pool_size);
 }
 BENCHMARK(BM_ThreadScalingBallQueries)->Apply(ThreadArgs)
     ->Unit(benchmark::kMillisecond);
@@ -424,8 +437,14 @@ void BM_ThreadScalingFusionIteration(benchmark::State& state) {
   options.k = 100;
   options.max_iterations = 1;
   options.num_threads = threads;
+  FusionEngine engine(labeled.db, options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunPatternFusion(labeled.db, *pool, options));
+    // Run consumes its pool; the copy into a fresh one is not timed.
+    state.PauseTiming();
+    StatusOr<PatternPool> fresh =
+        PatternPool::FromPatterns(labeled.db.num_transactions(), *pool);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(engine.Run(std::move(*fresh)));
   }
 }
 BENCHMARK(BM_ThreadScalingFusionIteration)->Apply(ThreadArgs)
@@ -437,7 +456,7 @@ void BM_ThreadScalingPoolBuild(benchmark::State& state) {
   LabeledDatabase labeled = MakeMicroarrayLike(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        BuildInitialPool(labeled.db, 30, 2, PoolMiner::kApriori, threads));
+        BuildInitialPatternPool(labeled.db, 30, 2, threads));
   }
 }
 BENCHMARK(BM_ThreadScalingPoolBuild)->Apply(ThreadArgs)

@@ -14,9 +14,7 @@ namespace colossal {
 namespace {
 constexpr int kWordBits = 64;
 
-int64_t WordCount(int64_t num_bits) {
-  return (num_bits + kWordBits - 1) / kWordBits;
-}
+int64_t WordCount(int64_t num_bits) { return Bitvector::WordsFor(num_bits); }
 
 // Mask of the valid bits in the last word of a `num_bits` vector; all
 // ones when the length is word-aligned. The single source of truth for

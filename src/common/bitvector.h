@@ -64,6 +64,16 @@ class Bitvector {
 
   int64_t size_bits() const { return num_bits_; }
 
+  // Words a `num_bits` vector occupies: ceil(num_bits / 64).
+  static int64_t WordsFor(int64_t num_bits) { return (num_bits + 63) / 64; }
+
+  // The packed words (bit i lives in word i / 64 at position i % 64),
+  // for callers that run the kernel table on raw rows — the columnar
+  // PatternPool stores support sets this way. Bits past size_bits() are
+  // zero, and writers through mutable_words() must keep them zero.
+  const uint64_t* words() const { return words_; }
+  uint64_t* mutable_words() { return words_; }
+
   // True iff the word buffer lives in an Arena (and so dies with it).
   bool arena_backed() const { return arena_ != nullptr; }
 

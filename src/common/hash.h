@@ -2,6 +2,7 @@
 #define COLOSSAL_COMMON_HASH_H_
 
 #include <cstdint>
+#include <span>
 
 #include "common/itemset.h"
 
@@ -33,13 +34,19 @@ inline uint64_t HashBytes(const void* data, size_t size,
   return hash;
 }
 
-// Content hash of an itemset, for use in unordered containers.
-inline uint64_t HashItemset(const Itemset& itemset) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (ItemId item : itemset) {
+// Content hash of a sorted item list, for use in unordered containers
+// and PatternPool's row index (which hashes its CSR slices in place).
+inline uint64_t HashItems(std::span<const ItemId> items) {
+  uint64_t hash = kFnvOffsetBasis;
+  for (ItemId item : items) {
     hash = HashCombine(hash, item);
   }
-  return HashCombine(hash, static_cast<uint64_t>(itemset.size()));
+  return HashCombine(hash, static_cast<uint64_t>(items.size()));
+}
+
+// Content hash of an itemset, for use in unordered containers.
+inline uint64_t HashItemset(const Itemset& itemset) {
+  return HashItems(itemset.items());
 }
 
 // Functor adapters for std::unordered_{set,map}.

@@ -45,6 +45,18 @@ StatusOr<ColossalMinerOptions> CanonicalizeMinerOptions(
 StatusOr<ColossalMiningResult> FuseColossalFromPool(
     int64_t num_transactions, std::vector<Pattern> initial_pool,
     const ColossalMinerOptions& options, Arena* arena) {
+  StatusOr<PatternPool> pool =
+      PatternPool::FromPatterns(num_transactions, initial_pool, arena);
+  if (!pool.ok()) return pool.status();
+  // The rows now live in the pool; free the patterns before fusing.
+  std::vector<Pattern>().swap(initial_pool);
+  return FuseColossalFromPool(num_transactions, std::move(*pool), options,
+                              arena);
+}
+
+StatusOr<ColossalMiningResult> FuseColossalFromPool(
+    int64_t num_transactions, PatternPool initial_pool,
+    const ColossalMinerOptions& options, Arena* arena) {
   PatternFusionOptions fusion_options;
   fusion_options.arena = arena;
   fusion_options.min_support_count = options.min_support_count;
@@ -59,7 +71,7 @@ StatusOr<ColossalMiningResult> FuseColossalFromPool(
   fusion_options.max_pattern_items = options.constraints.max_len;
 
   ColossalMiningResult result;
-  result.initial_pool_size = static_cast<int64_t>(initial_pool.size());
+  result.initial_pool_size = initial_pool.size();
 
   FusionEngine engine(num_transactions, fusion_options);
   StatusOr<PatternFusionResult> fusion = engine.Run(std::move(initial_pool));
@@ -101,10 +113,9 @@ StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
   if (!canonical.ok()) return canonical.status();
 
   PhaseTimer pool_timer(trace, TracePhase::kPoolMine);
-  StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
+  StatusOr<PatternPool> pool = BuildInitialPatternPool(
       db, canonical->min_support_count, canonical->initial_pool_max_size,
-      PoolMiner::kApriori, options.num_threads, arena,
-      canonical->constraints);
+      options.num_threads, arena, canonical->constraints);
   pool_timer.Stop();
   if (!pool.ok()) return pool.status();
 
@@ -113,7 +124,7 @@ StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
   ColossalMinerOptions exec = *canonical;
   exec.num_threads = options.num_threads;
   PhaseTimer fusion_timer(trace, TracePhase::kFusion);
-  return FuseColossalFromPool(db.num_transactions(), *std::move(pool), exec,
+  return FuseColossalFromPool(db.num_transactions(), std::move(*pool), exec,
                               arena);
 }
 

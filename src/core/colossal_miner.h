@@ -158,10 +158,17 @@ StatusOr<ColossalMiningResult> MineColossal(
 // recovers the pool from per-shard mining — run the byte-identical
 // pipeline from that point on. `options` must already carry an absolute
 // min_support_count (sigma resolved; options.sigma ignored), and the
-// pool patterns' support sets must span `num_transactions` bits.
-// `arena` backs fusion scratch exactly as in MineColossal; the pool may
-// itself be arena-backed. Result patterns are detached onto the heap
-// before returning, so they survive any later Arena::Reset.
+// pool rows must span `num_transactions` bits. The pool is consumed:
+// fusion replaces it with each iteration's next pool. `arena` backs
+// fusion scratch exactly as in MineColossal; the pool may itself be
+// arena-backed. Result patterns are detached onto the heap before
+// returning, so they survive any later Arena::Reset.
+StatusOr<ColossalMiningResult> FuseColossalFromPool(
+    int64_t num_transactions, PatternPool initial_pool,
+    const ColossalMinerOptions& options, Arena* arena = nullptr);
+
+// Adapter for callers holding patterns: copies them into a pool
+// (dropping repeated itemsets, first writer wins) and fuses it.
 StatusOr<ColossalMiningResult> FuseColossalFromPool(
     int64_t num_transactions, std::vector<Pattern> initial_pool,
     const ColossalMinerOptions& options, Arena* arena = nullptr);

@@ -13,17 +13,6 @@ Pattern MakePattern(const TransactionDatabase& db, Itemset items,
   return pattern;
 }
 
-std::vector<Pattern> MakePatterns(const TransactionDatabase& db,
-                                  const std::vector<FrequentItemset>& mined,
-                                  Arena* arena) {
-  std::vector<Pattern> patterns;
-  patterns.reserve(mined.size());
-  for (const FrequentItemset& entry : mined) {
-    patterns.push_back(MakePattern(db, entry.items, arena));
-  }
-  return patterns;
-}
-
 std::vector<FrequentItemset> ToFrequentItemsets(
     const std::vector<Pattern>& patterns) {
   std::vector<FrequentItemset> result;

@@ -35,12 +35,6 @@ struct Pattern {
 Pattern MakePattern(const TransactionDatabase& db, Itemset items,
                     Arena* arena = nullptr);
 
-// Converts a complete-miner result into patterns with materialized
-// support sets (the form Pattern-Fusion's initial pool needs).
-std::vector<Pattern> MakePatterns(const TransactionDatabase& db,
-                                  const std::vector<FrequentItemset>& mined,
-                                  Arena* arena = nullptr);
-
 // Drops the support sets again (for reporting through MiningResult-shaped
 // interfaces).
 std::vector<FrequentItemset> ToFrequentItemsets(

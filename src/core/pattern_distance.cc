@@ -1,5 +1,6 @@
 #include "core/pattern_distance.h"
 
+#include "common/bitvector_kernels.h"
 #include "common/check.h"
 
 namespace colossal {
@@ -38,6 +39,20 @@ std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
         Bitvector::AndCount(pool[i].support_set, center.support_set);
     if (WithinBall(common, pool[i].support, center.support, radius)) {
       members.push_back(static_cast<int64_t>(i));
+    }
+  }
+  return members;
+}
+
+std::vector<int64_t> BallQuery(const PatternPool& pool, const uint64_t* center,
+                               int64_t center_support, double radius) {
+  const auto and_count = ActiveBitvectorKernels().and_count_words;
+  const int64_t words = pool.words_per_row();
+  std::vector<int64_t> members;
+  for (int64_t i = 0; i < pool.size(); ++i) {
+    const int64_t common = and_count(pool.row(i), center, words);
+    if (WithinBall(common, pool.support(i), center_support, radius)) {
+      members.push_back(i);
     }
   }
   return members;

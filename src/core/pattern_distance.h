@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/pattern.h"
+#include "core/pattern_pool.h"
 
 namespace colossal {
 
@@ -39,6 +40,13 @@ bool WithinBall(int64_t common, int64_t a_support, int64_t b_support,
 // for its pool).
 std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
                                const Pattern& center, double radius);
+
+// The same query over a columnar pool — the scan the fusion engine runs:
+// one and_count_words call per row against `center`, a support set of
+// pool.words_per_row() words whose popcount is `center_support`. Returns
+// exactly what the vector form returns for the same patterns.
+std::vector<int64_t> BallQuery(const PatternPool& pool, const uint64_t* center,
+                               int64_t center_support, double radius);
 
 }  // namespace colossal
 

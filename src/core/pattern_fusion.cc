@@ -1,10 +1,15 @@
 #include "core/pattern_fusion.h"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 
+#include "common/bitvector_kernels.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/rng.h"
@@ -77,16 +82,30 @@ std::vector<FusionCandidate> SampleByWeight(
 // set so far; ids past the end read as absent.
 class ItemBitmap {
  public:
-  explicit ItemBitmap(const Itemset& items) { SetAll(items); }
+  explicit ItemBitmap(std::span<const ItemId> items) { SetAll(items); }
 
   bool Test(ItemId item) const {
     const size_t word = item / 64;
     return word < words_.size() && ((words_[word] >> (item % 64)) & 1) != 0;
   }
 
-  void SetAll(const Itemset& items) {
+  // |items ∩ R| by bit probes. When only "is it absorbed?" matters
+  // (`stop_at_miss`), the count stops at the first miss.
+  int CountShared(std::span<const ItemId> items, bool stop_at_miss) const {
+    int shared = 0;
+    for (ItemId item : items) {
+      if (Test(item)) {
+        ++shared;
+      } else if (stop_at_miss) {
+        break;
+      }
+    }
+    return shared;
+  }
+
+  void SetAll(std::span<const ItemId> items) {
     if (items.empty()) return;
-    const size_t needed = static_cast<size_t>(items.items().back()) / 64 + 1;
+    const size_t needed = static_cast<size_t>(items.back()) / 64 + 1;
     if (words_.size() < needed) words_.resize(needed, 0);
     for (ItemId item : items) words_[item / 64] |= uint64_t{1} << (item % 64);
   }
@@ -94,6 +113,10 @@ class ItemBitmap {
  private:
   std::vector<uint64_t> words_;
 };
+
+// FuseOnce over a pool counts the intersection before it probes items
+// when a row fits one cache line (8 words).
+constexpr int64_t kCountFirstMaxWords = 8;
 
 }  // namespace
 
@@ -113,22 +136,15 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
   // τ-core of the running fusion R, i.e. |D_R| ≥ τ·|D_β|. D_R only
   // shrinks, so it suffices to keep |D_R| ≥ τ·max merged support.
   int64_t max_merged_support = seed.support;
-  ItemBitmap fused_items(seed.items);
+  ItemBitmap fused_items(seed.items.items());
 
   for (int64_t index : ball_order) {
     if (max_merges != 0 && outcome.merged_count >= max_merges) break;
     if (index == seed_index) continue;
     const Pattern& member = pool[static_cast<size_t>(index)];
-    // |β ∩ R| by bit probes. Without an item bound only "is β already
-    // absorbed?" matters, so the count stops at the first miss.
-    int shared_items = 0;
-    for (ItemId item : member.items) {
-      if (fused_items.Test(item)) {
-        ++shared_items;
-      } else if (max_items == 0) {
-        break;
-      }
-    }
+    // Without an item bound only "is β already absorbed?" matters.
+    const int shared_items =
+        fused_items.CountShared(member.items.items(), max_items == 0);
     // Already absorbed; merging would change nothing.
     if (shared_items == member.size()) continue;
     // |R ∪ β| by inclusion–exclusion — rejected before any support-set
@@ -149,12 +165,86 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
     if (static_cast<double>(merged_support) < needed) continue;
 
     outcome.fused.items = Union(outcome.fused.items, member.items);
-    fused_items.SetAll(member.items);
+    fused_items.SetAll(member.items.items());
     outcome.fused.support_set.AndWith(member.support_set);
     outcome.fused.support = merged_support;
     max_merged_support = std::max(max_merged_support, member.support);
     ++outcome.merged_count;
   }
+  return outcome;
+}
+
+FusionOutcome FuseOnce(const PatternPool& pool,
+                       const std::vector<int64_t>& ball_order,
+                       int64_t seed_index, int64_t min_support_count,
+                       double tau, int max_merges, Arena* arena,
+                       int max_items) {
+  const BitvectorKernels& kernels = ActiveBitvectorKernels();
+  const int64_t words = pool.words_per_row();
+  const bool count_first = words <= kCountFirstMaxWords;
+  const std::span<const ItemId> seed_items = pool.items(seed_index);
+
+  FusionOutcome outcome;
+  outcome.fused.support_set = Bitvector(pool.num_bits(), arena);
+  uint64_t* fused_words = outcome.fused.support_set.mutable_words();
+  if (words > 0) {
+    std::memcpy(fused_words, pool.row(seed_index),
+                static_cast<size_t>(words) * sizeof(uint64_t));
+  }
+  outcome.fused.support = pool.support(seed_index);
+  outcome.merged_count = 1;
+
+  // The same invariant as the vector form: |D_R| ≥ τ·max merged support.
+  int64_t max_merged_support = pool.support(seed_index);
+  std::vector<ItemId> fused_list(seed_items.begin(), seed_items.end());
+  std::vector<ItemId> union_list;
+  ItemBitmap fused_items(seed_items);
+  const auto keeps_cores = [&](int64_t merged_support,
+                               int64_t member_support) {
+    if (merged_support < min_support_count) return false;
+    const double needed =
+        tau * static_cast<double>(
+                  std::max(max_merged_support, member_support)) -
+        1e-12;
+    return static_cast<double>(merged_support) >= needed;
+  };
+
+  for (int64_t index : ball_order) {
+    if (max_merges != 0 && outcome.merged_count >= max_merges) break;
+    if (index == seed_index) continue;
+    const uint64_t* member_row = pool.row(index);
+    const int64_t member_support = pool.support(index);
+    int64_t merged_support = 0;
+    if (count_first) {
+      merged_support = kernels.and_count_words(fused_words, member_row, words);
+      if (!keeps_cores(merged_support, member_support)) continue;
+    }
+    const std::span<const ItemId> member_items = pool.items(index);
+    const int64_t member_size = static_cast<int64_t>(member_items.size());
+    const int shared_items =
+        fused_items.CountShared(member_items, max_items == 0);
+    if (shared_items == member_size) continue;
+    if (max_items != 0 &&
+        static_cast<int64_t>(fused_list.size()) + member_size - shared_items >
+            max_items) {
+      continue;
+    }
+    if (!count_first) {
+      merged_support = kernels.and_count_words(fused_words, member_row, words);
+      if (!keeps_cores(merged_support, member_support)) continue;
+    }
+
+    union_list.clear();
+    std::set_union(fused_list.begin(), fused_list.end(), member_items.begin(),
+                   member_items.end(), std::back_inserter(union_list));
+    fused_list.swap(union_list);
+    fused_items.SetAll(member_items);
+    kernels.and_words(fused_words, member_row, words);
+    outcome.fused.support = merged_support;
+    max_merged_support = std::max(max_merged_support, member_support);
+    ++outcome.merged_count;
+  }
+  outcome.fused.items = Itemset::FromSorted(std::move(fused_list));
   return outcome;
 }
 
@@ -169,8 +259,8 @@ FusionEngine::FusionEngine(const TransactionDatabase& db,
 std::vector<FusionCandidate> FusionEngine::ProcessSeed(
     const PatternPool& pool, int64_t seed_index, double radius,
     Rng& rng) const {
-  const Pattern& seed = pool.pattern(seed_index);
-  std::vector<int64_t> ball = BallQuery(pool.patterns(), seed, radius);
+  std::vector<int64_t> ball = BallQuery(pool, pool.row(seed_index),
+                                        pool.support(seed_index), radius);
 
   // Fusion(α.CoreList): several shuffled greedy passes, each able to
   // reach a different super-pattern the ball's members are cores of.
@@ -187,7 +277,7 @@ std::vector<FusionCandidate> FusionEngine::ProcessSeed(
                                     << rng.UniformInt(0, 3));  // 2..16
     }
     FusionOutcome outcome =
-        FuseOnce(pool.patterns(), ball, seed_index,
+        FuseOnce(pool, ball, seed_index,
                  options_.min_support_count, options_.tau, max_merges,
                  options_.arena, options_.max_pattern_items);
     bool duplicate = false;
@@ -209,24 +299,38 @@ std::vector<FusionCandidate> FusionEngine::ProcessSeed(
 
 StatusOr<PatternFusionResult> FusionEngine::Run(
     std::vector<Pattern> initial_pool) {
+  StatusOr<PatternPool> pool = PatternPool::FromPatterns(
+      num_transactions_, initial_pool, options_.arena);
+  if (!pool.ok()) return pool.status();
+  // The rows now live in the pool; free the patterns before fusing.
+  std::vector<Pattern>().swap(initial_pool);
+  return Run(std::move(*pool));
+}
+
+StatusOr<PatternFusionResult> FusionEngine::Run(PatternPool pool) {
   Status valid = ValidateOptions(num_transactions_, options_);
   if (!valid.ok()) return valid;
-  if (initial_pool.empty()) {
+  if (pool.empty()) {
     return Status::InvalidArgument("initial pool is empty");
   }
-  for (const Pattern& pattern : initial_pool) {
-    if (pattern.support < options_.min_support_count) {
+  if (pool.num_bits() != num_transactions_) {
+    return Status::InvalidArgument(
+        "initial pool rows are " + std::to_string(pool.num_bits()) +
+        " bits wide, want " + std::to_string(num_transactions_) +
+        " transactions");
+  }
+  const auto popcount = ActiveBitvectorKernels().popcount_words;
+  for (int64_t i = 0; i < pool.size(); ++i) {
+    if (pool.support(i) < options_.min_support_count) {
       return Status::InvalidArgument(
-          "initial pool pattern " + pattern.items.ToString() +
-          " is infrequent (support " + std::to_string(pattern.support) + ")");
+          "initial pool pattern " + pool.ToPattern(i).items.ToString() +
+          " is infrequent (support " + std::to_string(pool.support(i)) + ")");
     }
     // BallQuery takes each union size from the cached supports.
-    if (pattern.support_set.size_bits() != num_transactions_ ||
-        pattern.support != pattern.support_set.Count()) {
+    if (pool.support(i) != popcount(pool.row(i), pool.words_per_row())) {
       return Status::InvalidArgument(
-          "initial pool pattern " + pattern.items.ToString() +
-          " has a support set inconsistent with its support or with the " +
-          std::to_string(num_transactions_) + " transactions");
+          "initial pool pattern " + pool.ToPattern(i).items.ToString() +
+          " has a support set inconsistent with its support");
     }
   }
 
@@ -240,9 +344,6 @@ StatusOr<PatternFusionResult> FusionEngine::Run(
   // per-seed randomness comes from streams derived below, so the draw
   // sequence is independent of how seeds are scheduled onto workers.
   Rng master(options_.seed);
-
-  PatternPool pool;
-  pool.AddAll(std::move(initial_pool));
 
   PatternFusionResult result;
   int previous_min_size = pool.MinPatternSize();
@@ -272,10 +373,13 @@ StatusOr<PatternFusionResult> FusionEngine::Run(
 
     // Merge in slot order: pool dedup (first writer wins) then stays
     // deterministic for any thread count.
-    PatternPool next_pool;
-    for (std::vector<FusionCandidate>& candidates : per_seed) {
-      for (FusionCandidate& candidate : candidates) {
-        next_pool.Add(std::move(candidate.pattern));
+    PatternPool next_pool(
+        num_transactions_,
+        static_cast<int64_t>(seeds.size()) * options_.max_superpatterns_per_seed,
+        options_.arena);
+    for (const std::vector<FusionCandidate>& candidates : per_seed) {
+      for (const FusionCandidate& candidate : candidates) {
+        next_pool.Add(candidate.pattern);
       }
     }
 
@@ -291,15 +395,22 @@ StatusOr<PatternFusionResult> FusionEngine::Run(
   }
   if (pool.size() <= options_.k) result.converged = true;
 
-  // Copies the final pool out; Bitvector's copy constructor always
+  // Copies the final pool out through ToPattern, which always
   // heap-allocates, so the returned patterns are independent of any
   // options_.arena backing the intra-run pool used.
-  result.patterns = pool.patterns();
-  std::sort(result.patterns.begin(), result.patterns.end(),
-            [](const Pattern& a, const Pattern& b) {
-              if (a.size() != b.size()) return a.size() > b.size();
-              return a.items < b.items;
-            });
+  std::vector<int64_t> order(static_cast<size_t>(pool.size()));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  std::sort(order.begin(), order.end(), [&pool](int64_t a, int64_t b) {
+    if (pool.pattern_size(a) != pool.pattern_size(b)) {
+      return pool.pattern_size(a) > pool.pattern_size(b);
+    }
+    const std::span<const ItemId> a_items = pool.items(a);
+    const std::span<const ItemId> b_items = pool.items(b);
+    return std::lexicographical_compare(a_items.begin(), a_items.end(),
+                                        b_items.begin(), b_items.end());
+  });
+  result.patterns.reserve(order.size());
+  for (int64_t i : order) result.patterns.push_back(pool.ToPattern(i));
   return result;
 }
 
@@ -310,9 +421,9 @@ StatusOr<PatternFusionResult> RunPatternFusion(
   return engine.Run(std::move(initial_pool));
 }
 
-StatusOr<std::vector<Pattern>> BuildInitialPool(
+StatusOr<PatternPool> BuildInitialPatternPool(
     const TransactionDatabase& db, int64_t min_support_count,
-    int max_pattern_size, PoolMiner /*miner*/, int num_threads, Arena* arena,
+    int max_pattern_size, int num_threads, Arena* arena,
     const MiningConstraints& constraints) {
   if (max_pattern_size < 1) {
     return Status::InvalidArgument("max_pattern_size must be >= 1");
@@ -336,7 +447,32 @@ StatusOr<std::vector<Pattern>> BuildInitialPool(
   // index the pool); the sharded miner's phase 3 sorts its stitched
   // candidates into this same order, which is what makes its pool
   // positionally identical to this one.
-  return MakePatterns(db, mined->patterns, arena);
+  const BitvectorKernels& kernels = ActiveBitvectorKernels();
+  PatternPool pool(db.num_transactions(),
+                   static_cast<int64_t>(mined->patterns.size()), arena);
+  for (const FrequentItemset& entry : mined->patterns) {
+    const int64_t row = pool.AppendRow(entry.items.items());
+    db.WriteSupportSet(entry.items.items(), pool.mutable_row(row));
+    pool.set_support(row, kernels.popcount_words(pool.row(row),
+                                                 pool.words_per_row()));
+  }
+  return pool;
+}
+
+StatusOr<std::vector<Pattern>> BuildInitialPool(
+    const TransactionDatabase& db, int64_t min_support_count,
+    int max_pattern_size, PoolMiner /*miner*/, int num_threads, Arena* arena,
+    const MiningConstraints& constraints) {
+  StatusOr<PatternPool> pool =
+      BuildInitialPatternPool(db, min_support_count, max_pattern_size,
+                              num_threads, arena, constraints);
+  if (!pool.ok()) return pool.status();
+  std::vector<Pattern> patterns;
+  patterns.reserve(static_cast<size_t>(pool->size()));
+  for (int64_t i = 0; i < pool->size(); ++i) {
+    patterns.push_back(pool->ToPattern(i));
+  }
+  return patterns;
 }
 
 }  // namespace colossal

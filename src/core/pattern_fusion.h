@@ -138,11 +138,18 @@ class FusionEngine {
   FusionEngine& operator=(const FusionEngine&) = delete;
 
   // Runs iterative pattern fusion from the given initial pool. The pool
-  // patterns must carry support sets consistent with the database and be
+  // rows must carry support sets consistent with the database and be
   // frequent at options.min_support_count. Fails on invalid options, an
-  // empty pool, an infrequent pattern, or a pattern whose support set is
-  // not num_transactions bits wide or whose `support` is not its
-  // support set's Count() (BallQuery's precondition).
+  // empty pool, an infrequent row, a pool whose rows are not
+  // num_transactions bits wide, or a row whose support is not its
+  // support set's popcount (BallQuery's precondition). Each iteration's
+  // pool replaces the previous one, so at most two pools — the current
+  // one and the (≤ K·max_superpatterns_per_seed rows) next one — are
+  // ever alive.
+  StatusOr<PatternFusionResult> Run(PatternPool initial_pool);
+
+  // Adapter for callers holding patterns: copies them into a pool
+  // (dropping repeated itemsets, first writer wins) and runs it.
   StatusOr<PatternFusionResult> Run(std::vector<Pattern> initial_pool);
 
  private:
@@ -176,9 +183,8 @@ enum class PoolMiner {
 
 // Builds the initial pool (paper §2.3 phase 1): the complete set of
 // frequent patterns of size ≤ max_pattern_size, with support sets
-// materialized, in (size, lexicographic) order. `miner` must be
-// kApriori. `num_threads` (0 = auto) parallelizes the underlying miner; the pool
-// is identical for any value.
+// materialized, in (size, lexicographic) order. `num_threads` (0 = auto)
+// parallelizes the underlying miner; the pool is identical for any value.
 // With an arena, the pool's support sets are arena-backed (the pool
 // must then not outlive the arena; fusion copies its answer out, so
 // this is safe for the MineColossal pipeline).
@@ -189,6 +195,16 @@ enum class PoolMiner {
 // max_len is expressed through max_pattern_size by the caller, and
 // min_len must not prune the pool (small patterns are fusion's
 // building blocks).
+// The pool is built in place: each mined itemset's support set is
+// written straight into its row of the pool's matrix (arena-backed when
+// `arena` is given), with no per-pattern Bitvector.
+StatusOr<PatternPool> BuildInitialPatternPool(
+    const TransactionDatabase& db, int64_t min_support_count,
+    int max_pattern_size, int num_threads = 0, Arena* arena = nullptr,
+    const MiningConstraints& constraints = MiningConstraints());
+
+// The same pool as heap-backed patterns, for callers that hold
+// std::vector<Pattern>. `miner` must be kApriori.
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
     int max_pattern_size, PoolMiner miner = PoolMiner::kApriori,
@@ -213,6 +229,21 @@ struct FusionOutcome {
 };
 // With an arena, the fused pattern's support set is arena-backed.
 FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
+                       const std::vector<int64_t>& ball_order,
+                       int64_t seed_index, int64_t min_support_count,
+                       double tau, int max_merges = 0,
+                       Arena* arena = nullptr, int max_items = 0);
+
+// The same fusion over a columnar pool — the one the engine runs. Each
+// member costs at most one and_count_words call on raw rows. The
+// member filters (absorbed / max_items on items, frequency / τ-core on
+// the intersection count) are pure and all must pass, so their order
+// cannot change the result; it is picked from the row width. Rows of
+// at most one cache line (≤ 8 words) count first, because the count is
+// then cheaper than probing the member's items; wider rows test items
+// first, because many members of a wide ball are already absorbed and
+// skip the count entirely.
+FusionOutcome FuseOnce(const PatternPool& pool,
                        const std::vector<int64_t>& ball_order,
                        int64_t seed_index, int64_t min_support_count,
                        double tau, int max_merges = 0,

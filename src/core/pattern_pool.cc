@@ -1,35 +1,202 @@
 #include "core/pattern_pool.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <new>
+#include <string>
+#include <utility>
+
+#include "common/arena.h"
+#include "common/check.h"
+#include "common/hash.h"
 
 namespace colossal {
 
-bool PatternPool::Add(Pattern pattern) {
-  if (!index_.insert(pattern.items).second) return false;
-  patterns_.push_back(std::move(pattern));
+namespace {
+
+// HashItems with a final avalanche, so the low bits that pick an index
+// slot depend on every item.
+uint64_t SlotHash(std::span<const ItemId> items) {
+  uint64_t hash = HashItems(items);
+  hash ^= hash >> 33;
+  hash *= 0xff51afd7ed558ccdULL;
+  hash ^= hash >> 33;
+  return hash;
+}
+
+bool SameItems(std::span<const ItemId> a, std::span<const ItemId> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+}  // namespace
+
+void PoolMatrixDeleter::operator()(uint64_t* words) const {
+  // Arena storage is reclaimed wholesale by Arena::Reset.
+  if (heap) ::operator delete(words, std::align_val_t{Arena::kAlignment});
+}
+
+PatternPool::PatternPool(int64_t num_bits, int64_t capacity, Arena* arena)
+    : num_bits_(num_bits),
+      words_(Bitvector::WordsFor(num_bits)),
+      capacity_(capacity) {
+  COLOSSAL_CHECK(num_bits >= 0 && capacity >= 0)
+      << "num_bits=" << num_bits << " capacity=" << capacity;
+  const int64_t bytes = capacity * words_ * int64_t{sizeof(uint64_t)};
+  if (bytes > 0) {
+    void* storage = arena != nullptr
+                        ? arena->Allocate(bytes)
+                        : ::operator new(static_cast<size_t>(bytes),
+                                         std::align_val_t{Arena::kAlignment});
+    matrix_ = std::unique_ptr<uint64_t[], PoolMatrixDeleter>(
+        static_cast<uint64_t*>(storage), PoolMatrixDeleter{arena == nullptr});
+  }
+  supports_.reserve(static_cast<size_t>(capacity));
+  offsets_.reserve(static_cast<size_t>(capacity) + 1);
+  offsets_.push_back(0);
+}
+
+StatusOr<PatternPool> PatternPool::FromPatterns(
+    int64_t num_bits, const std::vector<Pattern>& patterns, Arena* arena) {
+  PatternPool pool(num_bits, static_cast<int64_t>(patterns.size()), arena);
+  for (const Pattern& pattern : patterns) {
+    if (pattern.support_set.size_bits() != num_bits) {
+      return Status::InvalidArgument(
+          "pool pattern " + pattern.items.ToString() + " has a " +
+          std::to_string(pattern.support_set.size_bits()) +
+          "-bit support set, want " + std::to_string(num_bits));
+    }
+    pool.Add(pattern);
+  }
+  return pool;
+}
+
+bool PatternPool::Add(std::span<const ItemId> items, const uint64_t* words,
+                      int64_t support) {
+  IndexPendingRows();
+  const size_t slot = FindSlot(items);
+  if (slots_[slot] >= 0) return false;
+  const int64_t row = AppendRow(items);
+  if (words_ > 0) {
+    std::memcpy(mutable_row(row), words,
+                static_cast<size_t>(words_) * sizeof(uint64_t));
+  }
+  set_support(row, support);
+  slots_[slot] = row;
+  indexed_rows_ = size();
   return true;
 }
 
-int64_t PatternPool::AddAll(std::vector<Pattern> patterns) {
-  int64_t added = 0;
-  for (Pattern& pattern : patterns) {
-    if (Add(std::move(pattern))) ++added;
+bool PatternPool::Add(const Pattern& pattern) {
+  COLOSSAL_CHECK(pattern.support_set.size_bits() == num_bits_)
+      << "pattern width " << pattern.support_set.size_bits() << " vs pool "
+      << num_bits_;
+  return Add(pattern.items.items(), pattern.support_set.words(),
+             pattern.support);
+}
+
+int64_t PatternPool::AppendRow(std::span<const ItemId> items) {
+  COLOSSAL_CHECK(size() < capacity_) << "pool is full at " << capacity_;
+  const int64_t row = size();
+  if (words_ > 0) {
+    std::memset(mutable_row(row), 0,
+                static_cast<size_t>(words_) * sizeof(uint64_t));
   }
-  return added;
+  supports_.push_back(0);
+  items_.insert(items_.end(), items.begin(), items.end());
+  offsets_.push_back(items_.size());
+  return row;
+}
+
+void PatternPool::RemoveRowsBelowSupport(int64_t min_support) {
+  int64_t kept = 0;
+  size_t item_end = 0;
+  for (int64_t i = 0; i < size(); ++i) {
+    const size_t begin = offsets_[static_cast<size_t>(i)];
+    const size_t end = offsets_[static_cast<size_t>(i) + 1];
+    if (supports_[static_cast<size_t>(i)] < min_support) continue;
+    if (kept != i) {
+      if (words_ > 0) {
+        std::memmove(mutable_row(kept), row(i),
+                     static_cast<size_t>(words_) * sizeof(uint64_t));
+      }
+      supports_[static_cast<size_t>(kept)] =
+          supports_[static_cast<size_t>(i)];
+      std::memmove(items_.data() + item_end, items_.data() + begin,
+                   (end - begin) * sizeof(ItemId));
+    }
+    item_end += end - begin;
+    offsets_[static_cast<size_t>(kept) + 1] = item_end;
+    ++kept;
+  }
+  supports_.resize(static_cast<size_t>(kept));
+  offsets_.resize(static_cast<size_t>(kept) + 1);
+  items_.resize(item_end);
+  // Row ids moved; the index is rebuilt on the next Add.
+  slots_.clear();
+  indexed_rows_ = 0;
+}
+
+Pattern PatternPool::ToPattern(int64_t i) const {
+  const std::span<const ItemId> row_items = items(i);
+  Pattern pattern;
+  pattern.items =
+      Itemset::FromSorted(std::vector<ItemId>(row_items.begin(), row_items.end()));
+  pattern.support_set = Bitvector(num_bits_);
+  if (words_ > 0) {
+    std::memcpy(pattern.support_set.mutable_words(), row(i),
+                static_cast<size_t>(words_) * sizeof(uint64_t));
+  }
+  pattern.support = support(i);
+  return pattern;
+}
+
+bool PatternPool::Contains(const Itemset& items) const {
+  const std::span<const ItemId> probe(items.items());
+  if (!slots_.empty() && slots_[FindSlot(probe)] >= 0) return true;
+  // Rows appended since the index last caught up.
+  for (int64_t i = indexed_rows_; i < size(); ++i) {
+    if (SameItems(this->items(i), probe)) return true;
+  }
+  return false;
+}
+
+size_t PatternPool::FindSlot(std::span<const ItemId> items) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = SlotHash(items) & mask;; slot = (slot + 1) & mask) {
+    const int64_t row = slots_[slot];
+    if (row < 0 || SameItems(this->items(row), items)) return slot;
+  }
+}
+
+void PatternPool::IndexPendingRows() {
+  if (slots_.empty()) {
+    // At least twice the capacity, so the table never fills and linear
+    // probes stay short.
+    slots_.assign(std::bit_ceil(static_cast<size_t>(capacity_) * 2 + 2), -1);
+  }
+  for (; indexed_rows_ < size(); ++indexed_rows_) {
+    const size_t slot = FindSlot(items(indexed_rows_));
+    COLOSSAL_CHECK(slots_[slot] < 0)
+        << "AppendRow repeated an itemset already in the pool";
+    slots_[slot] = indexed_rows_;
+  }
 }
 
 int PatternPool::MinPatternSize() const {
   int smallest = 0;
-  for (const Pattern& pattern : patterns_) {
-    if (smallest == 0 || pattern.size() < smallest) smallest = pattern.size();
+  for (int64_t i = 0; i < size(); ++i) {
+    if (smallest == 0 || pattern_size(i) < smallest) {
+      smallest = pattern_size(i);
+    }
   }
   return smallest;
 }
 
 int PatternPool::MaxPatternSize() const {
   int largest = 0;
-  for (const Pattern& pattern : patterns_) {
-    largest = std::max(largest, pattern.size());
+  for (int64_t i = 0; i < size(); ++i) {
+    largest = std::max(largest, pattern_size(i));
   }
   return largest;
 }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
+#include "common/bitvector_kernels.h"
 #include "common/check.h"
 
 namespace colossal {
@@ -134,6 +136,20 @@ Bitvector TransactionDatabase::SupportSet(const Itemset& itemset,
     support.AndWith(item_tidset(itemset[i]));
   }
   return support;
+}
+
+void TransactionDatabase::WriteSupportSet(std::span<const ItemId> items,
+                                          uint64_t* words) const {
+  COLOSSAL_CHECK(!items.empty());
+  const BitvectorKernels& kernels = ActiveBitvectorKernels();
+  const int64_t num_words = Bitvector::WordsFor(num_transactions());
+  if (num_words > 0) {
+    std::memcpy(words, item_tidset(items[0]).words(),
+                static_cast<size_t>(num_words) * sizeof(uint64_t));
+  }
+  for (size_t i = 1; i < items.size(); ++i) {
+    kernels.and_words(words, item_tidset(items[i]).words(), num_words);
+  }
 }
 
 int64_t TransactionDatabase::Support(const Itemset& itemset) const {

@@ -2,6 +2,7 @@
 #define COLOSSAL_DATA_TRANSACTION_DATABASE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -74,6 +75,11 @@ class TransactionDatabase {
   // With an arena, the result is arena-backed (use for mining
   // temporaries whose lifetime the arena's owner controls).
   Bitvector SupportSet(const Itemset& itemset, Arena* arena = nullptr) const;
+
+  // The same support set for a non-empty sorted item list, written into
+  // `words` (Bitvector::WordsFor(num_transactions()) words) — how the
+  // columnar PatternPool fills its rows in place.
+  void WriteSupportSet(std::span<const ItemId> items, uint64_t* words) const;
 
   // |D_α|. Equivalent to SupportSet(itemset).Count().
   int64_t Support(const Itemset& itemset) const;

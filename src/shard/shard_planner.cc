@@ -122,7 +122,7 @@ StatusOr<ShardWriteResult> WriteShardedSnapshots(
         TransactionDatabase::FromItemsets(std::move(slice));
     if (!shard_db.ok()) return shard_db.status();
 
-    char suffix[32];
+    char suffix[48];  // room for any size_t
     std::snprintf(suffix, sizeof(suffix), ".shard_%04zu.snap", i);
     const std::string file = name + suffix;
     const std::string shard_path = dir + "/" + file;

@@ -6,14 +6,18 @@
 #include <atomic>
 #include <cstdio>
 #include <limits>
+#include <memory>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/bitvector_kernels.h"
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
-#include "core/pattern.h"
+#include "core/pattern_pool.h"
 #include "data/snapshot_io.h"
 #include "mining/apriori.h"
 #include "mining/miner.h"
@@ -26,13 +30,15 @@ namespace {
 // item does not occur in the shard at all (its id is outside the
 // shard's dense domain — the global pattern simply has no rows there).
 Bitvector ShardSupportSet(const TransactionDatabase& shard,
-                          const Itemset& items, Arena* arena) {
+                          std::span<const ItemId> items, Arena* arena) {
   for (ItemId item : items) {
     if (item >= shard.num_items()) {
       return Bitvector(shard.num_transactions(), arena);
     }
   }
-  return shard.SupportSet(items, arena);
+  Bitvector support(shard.num_transactions(), arena);
+  shard.WriteSupportSet(items, support.mutable_words());
+  return support;
 }
 
 // CAS-max a finished arena's high-water mark into the residency
@@ -358,32 +364,47 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     }
   }
   pool_timer.Stop();
+  // The dedup set's itemset copies are not needed past phase 1.
+  std::unordered_set<Itemset, ItemsetHash, ItemsetEq>().swap(seen);
   if (candidates.empty()) {
     return Status::FailedPrecondition(
         "no frequent patterns at min_support_count " +
         std::to_string(min_support));
   }
 
-  // The stitch span (kStitch) covers the re-count pass and the
-  // filter/sort that rebuilds the global pool (phases 2 and 3).
+  // The stitch span (kStitch) covers the sort, the re-count pass and the
+  // compaction that rebuild the global pool (phases 2 and 3).
   PhaseTimer stitch_timer(residency_.trace, TracePhase::kStitch);
 
+  // The pool order is fixed before any support set exists: candidates
+  // arrive in first-appearance order across shards, and sorting them the
+  // way Apriori emits (size, then lexicographic) makes the exact pool
+  // positionally identical to BuildInitialPatternPool's once phase 3
+  // drops the infrequent rows in place. The itemsets are unique, so
+  // sorting before the filter yields the order sorting after it would.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Itemset& a, const Itemset& b) {
+              if (a.size() != b.size()) return a.size() < b.size();
+              return a < b;
+            });
+  // The pool, one zeroed row per candidate, is the only copy of the
+  // candidates from here on; on the request arena, it flows straight
+  // into fusion.
+  PatternPool pool(total_rows, static_cast<int64_t>(candidates.size()), arena);
+  for (const Itemset& items : candidates) pool.AppendRow(items.items());
+  std::vector<Itemset>().swap(candidates);
+
   // Phase 2 — re-count: stitch each candidate's per-shard support sets
-  // into its exact global support set. Shards are again visited one at
-  // a time; candidates shard across workers (each writes only its own
-  // global bitvector, so the result is thread-count invariant).
-  // The stitched global sets live on the request arena (they flow into
-  // the pool and are detached when fusion returns its answer); the
+  // into its row, the exact global support set. Shards are again
+  // visited one at a time; rows shard across workers (each writes only
+  // its own row, so the result is thread-count invariant). The
   // per-candidate local sets go to a scratch arena rewound after every
   // shard, once its ParallelFor has joined.
-  std::vector<Bitvector> global_support(candidates.size());
-  for (Bitvector& support : global_support) {
-    support = Bitvector(total_rows, arena);
-  }
+  const BitvectorKernels& kernels = ActiveBitvectorKernels();
   const int num_threads =
       ParallelPolicy{options.num_threads}.ResolvedThreads();
   std::unique_ptr<ThreadPool> workers;
-  if (num_threads > 1 && candidates.size() > 1) {
+  if (num_threads > 1 && pool.size() > 1) {
     workers = std::make_unique<ThreadPool>(num_threads);
   }
   Arena recount_scratch;
@@ -392,42 +413,34 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     if (!shard.ok()) return shard.status();
     const TransactionDatabase& shard_db = *shard->db;
     const int64_t offset = manifest_.shards[i].row_begin;
-    ParallelFor(workers.get(), static_cast<int64_t>(candidates.size()),
-                [&](int64_t c) {
-                  const Bitvector local =
-                      ShardSupportSet(shard_db,
-                                      candidates[static_cast<size_t>(c)],
-                                      &recount_scratch);
-                  global_support[static_cast<size_t>(c)].OrWithShifted(
-                      local, offset);
-                });
+    COLOSSAL_CHECK(offset >= 0 &&
+                   offset + shard_db.num_transactions() <= total_rows)
+        << "shard " << i << " rows fall outside the manifest";
+    const int64_t local_words =
+        Bitvector::WordsFor(shard_db.num_transactions());
+    ParallelFor(workers.get(), pool.size(), [&](int64_t c) {
+      const Bitvector local =
+          ShardSupportSet(shard_db, pool.items(c), &recount_scratch);
+      kernels.or_shifted_words(pool.mutable_row(c), local.words(),
+                               local_words, offset / 64,
+                               static_cast<int>(offset % 64));
+    });
     recount_scratch.Reset();
   }
   RecordArenaPeak(residency_.arena_peak_bytes, recount_scratch);
 
-  // Phase 3 — keep the globally frequent candidates and order them the
-  // way Apriori emits them (size, then lexicographic), so the exact pool
-  // is positionally identical to BuildInitialPool's. The sort is needed
-  // here: candidates arrive in first-appearance order across shards.
-  std::vector<Pattern> pool;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const int64_t support = global_support[c].Count();
-    if (support < min_support) continue;
-    Pattern pattern;
-    pattern.items = candidates[c];
-    pattern.support_set = std::move(global_support[c]);
-    pattern.support = support;
-    pool.push_back(std::move(pattern));
+  // Phase 3 — keep the globally frequent candidates, compacting the
+  // matrix in place (the survivors keep their sorted order).
+  for (int64_t c = 0; c < pool.size(); ++c) {
+    pool.set_support(c, kernels.popcount_words(pool.row(c),
+                                               pool.words_per_row()));
   }
+  pool.RemoveRowsBelowSupport(min_support);
   if (pool.empty()) {
     return Status::FailedPrecondition(
         "no globally frequent patterns at min_support_count " +
         std::to_string(min_support));
   }
-  std::sort(pool.begin(), pool.end(), [](const Pattern& a, const Pattern& b) {
-    if (a.size() != b.size()) return a.size() < b.size();
-    return a.items < b.items;
-  });
   stitch_timer.Stop();
 
   // Phase 4 — the shared fusion pipeline. The pool is the global

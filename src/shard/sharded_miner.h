@@ -30,12 +30,13 @@ namespace colossal {
 // Partition-scaled local threshold ⌊σ·|D_i|⌋ (Savasere-style: any
 // globally frequent itemset is locally frequent in at least one shard,
 // so the union of per-shard results is a candidate superset of the
-// global initial pool). A re-count pass then stitches each candidate's
-// per-shard support sets into its exact global support set
-// (Bitvector::OrWithShifted at the shard's row offset) and drops
-// globally infrequent candidates — recovering the global initial pool,
-// in the same (size, lexicographic) order the level-wise miners
-// enumerate. FuseColossalFromPool then runs the identical fusion
+// global initial pool). The candidates are sorted into the (size,
+// lexicographic) order the level-wise miners enumerate, one pool row
+// each; a re-count pass then stitches each candidate's per-shard
+// support sets into its row, the exact global support set (the
+// or_shifted_words kernel at the shard's row offset), and the globally
+// infrequent rows are compacted out in place — recovering the global
+// initial pool. FuseColossalFromPool then runs the identical fusion
 // pipeline, so results, iteration stats and cache entries are
 // interchangeable with unsharded mining.
 //

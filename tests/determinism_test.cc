@@ -3,17 +3,27 @@
 // fusion — must produce bit-identical output for every thread count.
 // This is the contract that lets `--threads` be a pure performance knob.
 
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/arena.h"
 #include "common/bitvector_kernels.h"
+#include "common/hash.h"
 #include "core/colossal_miner.h"
 #include "core/pattern_fusion.h"
 #include "data/generators.h"
+#include "data/snapshot_io.h"
 #include "mining/apriori.h"
 #include "mining/eclat.h"
+#include "service/dispatch.h"
+#include "service/mining_service.h"
+#include "shard/shard_manifest.h"
+#include "shard/shard_planner.h"
+#include "shard/sharded_miner.h"
 
 namespace colossal {
 namespace {
@@ -225,6 +235,123 @@ TEST(DeterminismTest, MineColossalIdenticalAcrossKernelBackends) {
   EXPECT_EQ(dispatched->iterations, scalar->iterations);
   EXPECT_EQ(dispatched->converged, scalar->converged);
   ExpectSamePatterns(dispatched->patterns, scalar->patterns, 1);
+}
+
+// --- Golden output ---------------------------------------------------------
+// The tests above compare a build only against itself (threads, kernels,
+// arena, shards), so none of them notices the answer drifting between
+// commits. These pin the served payload (RenderPatternsPayload: every
+// itemset and support, in result order) of fixed mines to fingerprints
+// recorded before the columnar PatternPool replaced the vector-of-Pattern
+// pool. A change that means to alter the output must re-record them and
+// say why.
+
+struct GoldenPayload {
+  uint64_t fnv = 0;
+  size_t bytes = 0;
+};
+
+GoldenPayload Fingerprint(StatusOr<ColossalMiningResult> result) {
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  MiningResponse response;
+  response.result =
+      std::make_shared<const ColossalMiningResult>(*std::move(result));
+  const std::string payload = RenderPatternsPayload(response);
+  return {HashBytes(payload.data(), payload.size()), payload.size()};
+}
+
+void ExpectGolden(const GoldenPayload& actual, const GoldenPayload& expected,
+                  const std::string& name, int threads) {
+  char actual_hex[32];
+  std::snprintf(actual_hex, sizeof(actual_hex), "0x%016llx",
+                static_cast<unsigned long long>(actual.fnv));
+  EXPECT_EQ(actual.fnv, expected.fnv)
+      << name << " threads=" << threads << " payload fnv " << actual_hex;
+  EXPECT_EQ(actual.bytes, expected.bytes)
+      << name << " threads=" << threads;
+}
+
+ColossalMinerOptions GoldenOptions(int64_t min_support, int pool_size) {
+  ColossalMinerOptions options;
+  options.min_support_count = min_support;
+  options.initial_pool_max_size = pool_size;
+  options.tau = 0.5;
+  options.k = 100;
+  return options;
+}
+
+TEST(GoldenOutputTest, MicroarrayMine) {
+  LabeledDatabase labeled = MakeMicroarrayLike(1);
+  for (int threads : {1, 4}) {
+    ColossalMinerOptions options = GoldenOptions(30, 2);
+    options.num_threads = threads;
+    ExpectGolden(Fingerprint(MineColossal(labeled.db, options)),
+                 {0x827abb55a07ea832ULL, 9607}, "microarray", threads);
+  }
+}
+
+TEST(GoldenOutputTest, TraceMineUnshardedAndAsFourShardManifest) {
+  LabeledDatabase labeled = MakeProgramTraceLike(1);
+  ShardPlanOptions plan_options;
+  plan_options.num_shards = 4;
+  StatusOr<std::vector<ShardRange>> plan = PlanShards(labeled.db, plan_options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  StatusOr<ShardWriteResult> written = WriteShardedSnapshots(
+      labeled.db, *plan, ::testing::TempDir(), "golden_trace_x4");
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  StatusOr<ShardManifest> manifest =
+      ReadShardManifestFile(written->manifest_path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  const ShardLoader disk_loader =
+      [](const std::string& path,
+         int64_t /*estimated_bytes*/) -> StatusOr<LoadedShard> {
+    StatusOr<TransactionDatabase> db = ReadSnapshotFile(path);
+    if (!db.ok()) return db.status();
+    LoadedShard shard;
+    shard.fingerprint = FingerprintDatabase(*db);
+    shard.db = std::make_shared<const TransactionDatabase>(*std::move(db));
+    return shard;
+  };
+
+  const GoldenPayload golden = {0x08ee424be910779aULL, 9693};
+  for (int threads : {1, 4}) {
+    ColossalMinerOptions options = GoldenOptions(1, 3);
+    options.sigma = 0.03;
+    options.num_threads = threads;
+    ExpectGolden(Fingerprint(MineColossal(labeled.db, options)), golden,
+                 "trace", threads);
+    ShardedMiner miner(*manifest, disk_loader);
+    ExpectGolden(Fingerprint(miner.Mine(options, ShardMergeMode::kExact)),
+                 golden, "trace x4 shards", threads);
+  }
+}
+
+TEST(GoldenOutputTest, DiagPlusMinePlainAndConstrained) {
+  LabeledDatabase labeled = MakeDiagPlus(40, 20);
+  struct Case {
+    const char* name;
+    MiningConstraints constraints;
+    GoldenPayload golden;
+  };
+  MiningConstraints max_len;
+  max_len.max_len = 25;
+  MiningConstraints exclude;
+  exclude.exclude = {0, 3, 5};
+  const Case cases[] = {
+      {"diagplus", MiningConstraints(), {0x65aa23a7aac6b9e4ULL, 5501}},
+      {"diagplus --max-len 25", max_len, {0xb81e082a6e517f97ULL, 6660}},
+      {"diagplus --exclude 0,3,5", exclude, {0x937220adbbbc8668ULL, 5388}},
+  };
+  for (const Case& golden_case : cases) {
+    for (int threads : {1, 4}) {
+      ColossalMinerOptions options = GoldenOptions(20, 2);
+      options.constraints = golden_case.constraints;
+      options.num_threads = threads;
+      ExpectGolden(Fingerprint(MineColossal(labeled.db, options)),
+                   golden_case.golden, golden_case.name, threads);
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "core/core_pattern.h"
 #include "core/pattern.h"
+#include "core/pattern_pool.h"
 #include "data/generators.h"
 
 namespace colossal {
@@ -23,7 +24,10 @@ TEST(PatternTest, RoundTripThroughFrequentItemsets) {
   TransactionDatabase db = MakePaperFigure3();
   std::vector<FrequentItemset> mined = {{Itemset({0}), 300},
                                         {Itemset({2, 4}), 300}};
-  std::vector<Pattern> patterns = MakePatterns(db, mined);
+  std::vector<Pattern> patterns;
+  for (const FrequentItemset& entry : mined) {
+    patterns.push_back(MakePattern(db, entry.items));
+  }
   ASSERT_EQ(patterns.size(), 2u);
   EXPECT_EQ(patterns[0].support, 300);
   EXPECT_EQ(ToFrequentItemsets(patterns), mined);
@@ -202,8 +206,13 @@ TEST(BallQueryTest, BoundaryDistancesAreIncluded) {
 // filter keeps, at every radius, including the degenerate pairs its
 // single-AndCount formula folds in: empty support sets (distance 0 to
 // each other, 1 to anything else) and disjoint sets (distance 1).
+// The columnar scan is checked against the same brute force.
 void ExpectBallQueryMatchesBruteForce(const std::vector<Pattern>& pool,
                                       double radius) {
+  StatusOr<PatternPool> columnar =
+      PatternPool::FromPatterns(pool[0].support_set.size_bits(), pool);
+  ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
+  ASSERT_EQ(columnar->size(), static_cast<int64_t>(pool.size()));
   for (const Pattern& center : pool) {
     std::vector<int64_t> expected;
     for (size_t i = 0; i < pool.size(); ++i) {
@@ -213,6 +222,11 @@ void ExpectBallQueryMatchesBruteForce(const std::vector<Pattern>& pool,
     }
     EXPECT_EQ(BallQuery(pool, center, radius), expected)
         << "center " << center.items.ToString() << " radius " << radius;
+    EXPECT_EQ(BallQuery(*columnar, center.support_set.words(), center.support,
+                        radius),
+              expected)
+        << "pool scan, center " << center.items.ToString() << " radius "
+        << radius;
   }
 }
 
@@ -270,6 +284,41 @@ TEST(BallQueryTest, MatchesBruteForceOnDisjointAndBoundaryPairs) {
   EXPECT_NEAR(PatternDistance(halves[0], halves[1]), 2.0 / 3.0, 1e-12);
   ExpectBallQueryMatchesBruteForce(halves, BallRadius(0.5));
   EXPECT_EQ(BallQuery(halves, halves[0], BallRadius(0.5)).size(), 2u);
+}
+
+// The pool scan against the vector form at the row widths on either
+// side of one cache line (1, 8, 9 words) and at the trace stand-in's
+// 69, for centers inside and outside the pool.
+TEST(BallQueryTest, PoolScanMatchesVectorFormAtEveryWidth) {
+  for (int64_t num_transactions : {38, 500, 540, 4395}) {
+    RandomDatabaseOptions options;
+    options.num_transactions = num_transactions;
+    options.num_items = 16;
+    options.density = 0.5;
+    options.seed = static_cast<uint64_t>(num_transactions);
+    TransactionDatabase db = MakeRandomDatabase(options);
+    std::vector<Pattern> patterns;
+    for (ItemId i = 0; i < db.num_items(); ++i) {
+      for (ItemId j = i; j < db.num_items(); ++j) {
+        patterns.push_back(MakePattern(db, Itemset::FromUnsorted({i, j})));
+      }
+    }
+    StatusOr<PatternPool> pool =
+        PatternPool::FromPatterns(num_transactions, patterns);
+    ASSERT_TRUE(pool.ok());
+    ASSERT_EQ(pool->words_per_row(), (num_transactions + 63) / 64);
+    std::vector<Pattern> centers = {patterns[0], patterns[40],
+                                    MakePattern(db, Itemset({1, 2, 3}))};
+    for (const Pattern& center : centers) {
+      for (double radius : {0.2, BallRadius(0.5), BallRadius(0.25)}) {
+        EXPECT_EQ(BallQuery(*pool, center.support_set.words(), center.support,
+                            radius),
+                  BallQuery(patterns, center, radius))
+            << num_transactions << " transactions, center "
+            << center.items.ToString() << " radius " << radius;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/rng.h"
 #include "core/pattern_distance.h"
 #include "core/pattern_pool.h"
@@ -16,7 +19,7 @@ namespace {
 
 TEST(PatternPoolTest, DeduplicatesByItemset) {
   TransactionDatabase db = MakePaperFigure3();
-  PatternPool pool;
+  PatternPool pool(db.num_transactions(), 3);
   EXPECT_TRUE(pool.Add(MakePattern(db, Itemset({0}))));
   EXPECT_FALSE(pool.Add(MakePattern(db, Itemset({0}))));
   EXPECT_TRUE(pool.Add(MakePattern(db, Itemset({0, 1}))));
@@ -27,7 +30,7 @@ TEST(PatternPoolTest, DeduplicatesByItemset) {
 
 TEST(PatternPoolTest, SizeExtremes) {
   TransactionDatabase db = MakePaperFigure3();
-  PatternPool pool;
+  PatternPool pool(db.num_transactions(), 2);
   EXPECT_EQ(pool.MinPatternSize(), 0);
   pool.Add(MakePattern(db, Itemset({0, 1, 3})));
   pool.Add(MakePattern(db, Itemset({2})));
@@ -37,7 +40,7 @@ TEST(PatternPoolTest, SizeExtremes) {
 
 TEST(PatternPoolTest, DrawSeedsAreDistinctAndClamped) {
   TransactionDatabase db = MakePaperFigure3();
-  PatternPool pool;
+  PatternPool pool(db.num_transactions(), 5);
   for (ItemId item = 0; item < 5; ++item) {
     pool.Add(MakePattern(db, Itemset::Single(item)));
   }
@@ -47,6 +50,171 @@ TEST(PatternPoolTest, DrawSeedsAreDistinctAndClamped) {
   std::set<int64_t> unique(seeds.begin(), seeds.end());
   EXPECT_EQ(unique.size(), 3u);
   EXPECT_EQ(pool.DrawSeeds(100, rng).size(), 5u);
+}
+
+// Patterns of every size 1..4 over a 150-transaction (3-word) database,
+// in (size, lex) order — the shape of an initial pool.
+std::vector<Pattern> SizeLexPatterns(const TransactionDatabase& db) {
+  std::vector<Pattern> patterns;
+  for (int size = 1; size <= 4; ++size) {
+    for (ItemId first = 0; first + size <= 8; ++first) {
+      std::vector<ItemId> items;
+      for (int k = 0; k < size; ++k) items.push_back(first + k);
+      patterns.push_back(MakePattern(db, Itemset::FromSorted(items)));
+    }
+  }
+  return patterns;
+}
+
+TransactionDatabase ThreeWordDatabase() {
+  RandomDatabaseOptions options;
+  options.num_transactions = 150;
+  options.num_items = 8;
+  options.density = 0.7;
+  options.seed = 5;
+  return MakeRandomDatabase(options);
+}
+
+TEST(PatternPoolTest, CsrItemsAndRowsRoundTripThroughToPattern) {
+  TransactionDatabase db = ThreeWordDatabase();
+  const std::vector<Pattern> patterns = SizeLexPatterns(db);
+  StatusOr<PatternPool> pool =
+      PatternPool::FromPatterns(db.num_transactions(), patterns);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  ASSERT_EQ(pool->size(), static_cast<int64_t>(patterns.size()));
+  EXPECT_EQ(pool->capacity(), pool->size());
+  EXPECT_EQ(pool->words_per_row(), 3);
+  for (int64_t i = 0; i < pool->size(); ++i) {
+    const Pattern& expected = patterns[static_cast<size_t>(i)];
+    const std::span<const ItemId> items = pool->items(i);
+    EXPECT_EQ(std::vector<ItemId>(items.begin(), items.end()),
+              expected.items.items());
+    EXPECT_EQ(pool->pattern_size(i), expected.size());
+    EXPECT_EQ(pool->support(i), expected.support);
+    for (int64_t w = 0; w < pool->words_per_row(); ++w) {
+      EXPECT_EQ(pool->row(i)[w], expected.support_set.words()[w]);
+    }
+    const Pattern copy = pool->ToPattern(i);
+    EXPECT_EQ(copy, expected);
+    EXPECT_FALSE(copy.support_set.arena_backed());
+  }
+  EXPECT_EQ(pool->MinPatternSize(), 1);
+  EXPECT_EQ(pool->MaxPatternSize(), 4);
+
+  Pattern narrow = MakePattern(MakePaperFigure3(), Itemset({0}));
+  EXPECT_FALSE(PatternPool::FromPatterns(db.num_transactions(), {narrow}).ok());
+}
+
+TEST(PatternPoolTest, DedupIsFirstWriterWins) {
+  TransactionDatabase db = ThreeWordDatabase();
+  const Pattern first = MakePattern(db, Itemset({1, 2}));
+  // Same itemset, different support set and support: must be dropped.
+  Pattern second = MakePattern(db, Itemset({1, 3}));
+  second.items = first.items;
+  ASSERT_NE(second.support_set, first.support_set);
+
+  PatternPool pool(db.num_transactions(), 4);
+  EXPECT_TRUE(pool.Add(first));
+  EXPECT_FALSE(pool.Add(second));
+  ASSERT_EQ(pool.size(), 1);
+  EXPECT_EQ(pool.ToPattern(0), first);
+
+  // Rows appended in place are not indexed until the next Add, which
+  // still sees them.
+  const Pattern appended = MakePattern(db, Itemset({4}));
+  const int64_t row = pool.AppendRow(appended.items.items());
+  pool.set_support(row, appended.support);
+  EXPECT_TRUE(pool.Contains(appended.items));
+  EXPECT_FALSE(pool.Add(appended));
+  EXPECT_TRUE(pool.Add(MakePattern(db, Itemset({5}))));
+  EXPECT_EQ(pool.size(), 3);
+  EXPECT_TRUE(pool.Contains(Itemset({1, 2})));
+  EXPECT_TRUE(pool.Contains(Itemset({5})));
+  EXPECT_FALSE(pool.Contains(Itemset({1, 3})));
+
+  // FromPatterns keeps the first of repeated itemsets too.
+  StatusOr<PatternPool> copied =
+      PatternPool::FromPatterns(db.num_transactions(), {first, second});
+  ASSERT_TRUE(copied.ok());
+  ASSERT_EQ(copied->size(), 1);
+  EXPECT_EQ(copied->ToPattern(0), first);
+}
+
+TEST(PatternPoolTest, ArenaAndHeapBackedPoolsAgree) {
+  TransactionDatabase db = ThreeWordDatabase();
+  const std::vector<Pattern> patterns = SizeLexPatterns(db);
+  Arena arena;
+  StatusOr<PatternPool> heap =
+      PatternPool::FromPatterns(db.num_transactions(), patterns);
+  StatusOr<PatternPool> arena_backed =
+      PatternPool::FromPatterns(db.num_transactions(), patterns, &arena);
+  ASSERT_TRUE(heap.ok() && arena_backed.ok());
+  EXPECT_GE(arena.allocated_bytes(),
+            heap->size() * heap->words_per_row() * 8);
+  ASSERT_EQ(arena_backed->size(), heap->size());
+  for (int64_t i = 0; i < heap->size(); ++i) {
+    EXPECT_EQ(arena_backed->ToPattern(i), heap->ToPattern(i));
+    EXPECT_FALSE(arena_backed->ToPattern(i).support_set.arena_backed());
+  }
+
+  // The engine gives the same answer from either.
+  PatternFusionOptions options;
+  options.min_support_count = 20;
+  options.k = 4;
+  options.num_threads = 1;
+  StatusOr<PatternFusionResult> from_heap =
+      RunPatternFusion(db, patterns, options);
+  options.arena = &arena;
+  FusionEngine engine(db, options);
+  StatusOr<PatternFusionResult> from_arena =
+      engine.Run(std::move(*arena_backed));
+  ASSERT_TRUE(from_heap.ok() && from_arena.ok());
+  ASSERT_EQ(from_arena->patterns.size(), from_heap->patterns.size());
+  for (size_t i = 0; i < from_heap->patterns.size(); ++i) {
+    EXPECT_EQ(from_arena->patterns[i], from_heap->patterns[i]);
+    EXPECT_FALSE(from_arena->patterns[i].support_set.arena_backed());
+  }
+}
+
+TEST(PatternPoolTest, InPlaceCompactionKeepsSizeLexOrder) {
+  TransactionDatabase db = ThreeWordDatabase();
+  const std::vector<Pattern> patterns = SizeLexPatterns(db);
+  PatternPool pool(db.num_transactions(),
+                   static_cast<int64_t>(patterns.size()));
+  for (const Pattern& pattern : patterns) {
+    const int64_t row = pool.AppendRow(pattern.items.items());
+    for (int64_t w = 0; w < pool.words_per_row(); ++w) {
+      EXPECT_EQ(pool.row(row)[w], 0u) << "appended rows start zeroed";
+    }
+    std::copy(pattern.support_set.words(),
+              pattern.support_set.words() + pool.words_per_row(),
+              pool.mutable_row(row));
+    pool.set_support(row, pattern.support);
+  }
+  // A threshold that drops rows from the middle of every size class.
+  const int64_t min_support = patterns[patterns.size() / 2].support;
+  std::vector<Pattern> expected;
+  for (const Pattern& pattern : patterns) {
+    if (pattern.support >= min_support) expected.push_back(pattern);
+  }
+  ASSERT_LT(expected.size(), patterns.size());
+  ASSERT_GT(expected.size(), 1u);
+
+  pool.RemoveRowsBelowSupport(min_support);
+  ASSERT_EQ(pool.size(), static_cast<int64_t>(expected.size()));
+  for (int64_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(pool.ToPattern(i), expected[static_cast<size_t>(i)]) << i;
+    if (i > 0) {
+      const Pattern previous = pool.ToPattern(i - 1);
+      const Pattern current = pool.ToPattern(i);
+      EXPECT_TRUE(previous.size() < current.size() ||
+                  (previous.size() == current.size() &&
+                   previous.items < current.items));
+    }
+  }
+  // Row ids moved, and the rebuilt index still deduplicates.
+  EXPECT_FALSE(pool.Add(expected.back()));
+  EXPECT_TRUE(pool.Contains(expected.front().items));
 }
 
 // --- FuseOnce -------------------------------------------------------------
@@ -168,19 +336,25 @@ Itemset RenameItem(const Itemset& items, ItemId from, ItemId to) {
   return Itemset::FromUnsorted(std::move(renamed));
 }
 
-class FuseOnceDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+// (seed, transactions): 30 transactions is one support-set word, 500
+// and 540 sit on either side of the pool FuseOnce's one-cache-line
+// filter-order rule (8 and 9 words), 4,395 is the trace stand-in's 69.
+class FuseOnceDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int64_t>> {};
 
 TEST_P(FuseOnceDifferentialTest, MatchesItemsetScanReference) {
   // 90 items, so fused itemsets span several bitmap words; the most
   // frequent item is renamed to a sparse high id, so merging it grows
-  // the bitmap.
+  // the bitmap. Wider databases are denser, so that merges still pass
+  // the frequency test at the same relative threshold.
+  const auto [seed, num_transactions] = GetParam();
   RandomDatabaseOptions db_options;
-  db_options.num_transactions = 30;
+  db_options.num_transactions = num_transactions;
   db_options.num_items = 90;
-  db_options.density = 0.6;
-  db_options.seed = GetParam();
+  db_options.density = num_transactions == 30 ? 0.6 : 0.85;
+  db_options.seed = seed;
   TransactionDatabase db = MakeRandomDatabase(db_options);
-  const int64_t min_support = 8;
+  const int64_t min_support = num_transactions * 8 / 30;
   ItemId most_frequent = 0;
   for (ItemId i = 1; i < db.num_items(); ++i) {
     if (db.Support(Itemset::Single(i)) >
@@ -200,43 +374,62 @@ TEST_P(FuseOnceDifferentialTest, MatchesItemsetScanReference) {
     }
   }
   ASSERT_GT(pool.size(), 100u);
+  StatusOr<PatternPool> columnar =
+      PatternPool::FromPatterns(num_transactions, pool);
+  ASSERT_TRUE(columnar.ok());
+  ASSERT_EQ(columnar->size(), static_cast<int64_t>(pool.size()));
 
-  Rng rng(GetParam());
+  Rng rng(seed);
   std::vector<int64_t> order(pool.size());
   for (size_t i = 0; i < order.size(); ++i) {
     order[i] = static_cast<int64_t>(i);
   }
   bool grew_past_64 = false;
   bool absorbed_sparse_id = false;
+  bool merged_beyond_a_pair = false;
   for (int trial = 0; trial < 12; ++trial) {
     rng.Shuffle(order);
     const int64_t seed_index =
         rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1);
-    for (int max_merges : {0, 2, 16}) {
+    for (int max_merges : {0, 2, 4, 8, 16}) {
       for (int max_items : {0, 3, 6}) {
         const FusionOutcome expected = ReferenceFuseOnce(
             pool, order, seed_index, min_support, 0.5, max_merges, max_items);
         const FusionOutcome actual = FuseOnce(pool, order, seed_index,
                                               min_support, 0.5, max_merges,
                                               nullptr, max_items);
-        ASSERT_EQ(actual.fused.items, expected.fused.items)
-            << "trial " << trial << " max_merges " << max_merges
-            << " max_items " << max_items;
-        EXPECT_EQ(actual.fused.support, expected.fused.support);
-        EXPECT_EQ(actual.fused.support_set, expected.fused.support_set);
-        EXPECT_EQ(actual.merged_count, expected.merged_count);
+        const FusionOutcome scanned = FuseOnce(*columnar, order, seed_index,
+                                               min_support, 0.5, max_merges,
+                                               nullptr, max_items);
+        for (const FusionOutcome* outcome : {&actual, &scanned}) {
+          ASSERT_EQ(outcome->fused.items, expected.fused.items)
+              << (outcome == &actual ? "vector" : "pool") << " trial "
+              << trial << " max_merges " << max_merges << " max_items "
+              << max_items;
+          EXPECT_EQ(outcome->fused.support, expected.fused.support);
+          EXPECT_EQ(outcome->fused.support_set, expected.fused.support_set);
+          EXPECT_EQ(outcome->merged_count, expected.merged_count);
+        }
         const std::vector<ItemId>& items = actual.fused.items.items();
         if (!items.empty() && items.back() >= 64) grew_past_64 = true;
         if (actual.fused.items.Contains(kSparseId)) absorbed_sparse_id = true;
+        if (actual.merged_count > 2) merged_beyond_a_pair = true;
       }
     }
   }
   EXPECT_TRUE(grew_past_64);
-  EXPECT_TRUE(absorbed_sparse_id);
+  EXPECT_TRUE(merged_beyond_a_pair);
+  // The sparse-id growth case is tuned to the one-word database; the
+  // wider ones reach it only for some seeds.
+  if (num_transactions == 30) {
+    EXPECT_TRUE(absorbed_sparse_id);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, FuseOnceDifferentialTest,
-                         ::testing::Values(1, 2, 3, 4));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, FuseOnceDifferentialTest,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(30, 500, 540, 4395)));
 
 // --- RunPatternFusion ------------------------------------------------------
 

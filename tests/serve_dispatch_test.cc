@@ -324,7 +324,7 @@ TEST_F(ServeDispatchTest, RecentControlWordListsFlightRecords) {
   EXPECT_TRUE(DispatchServeLine(service_, "recent " +
                                               std::to_string(capacity))
                   .debug_status.ok());
-  for (const std::string hostile :
+  for (const std::string& hostile :
        {std::to_string(capacity + 1), std::string("999999999"),
         std::string("18446744073709551615")}) {
     ServeOutcome over = DispatchServeLine(service_, "recent " + hostile);

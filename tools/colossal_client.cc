@@ -137,7 +137,7 @@ int Main(int argc, char** argv) {
       if (frame->source == "cache") ++cache_hits;
       if (frame->source == "coalesced") ++coalesced;
       if (batch_mode && !out_dir.empty()) {
-        char name[32];
+        char name[48];  // room for any size_t
         std::snprintf(name, sizeof(name), "response_%04zu.txt", i + 1);
         Status written = WriteFile(out_dir + "/" + name, frame->payload);
         if (!written.ok()) {

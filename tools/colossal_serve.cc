@@ -23,8 +23,8 @@
 //                     '.'-terminated (default 32)
 //         trace <id>  print one flight record by request id as JSON
 //         quit        exit
-//       Responses are a header line
-//         ok source=<mined|cache|coalesced> patterns=N iterations=I \
+//       Responses are a header line (wrapped here)
+//         ok source=<mined|cache|coalesced> patterns=N iterations=I
 //            fingerprint=<hex> ms=<float> id=N
 //       followed (unless --no-patterns) by the patterns and a single '.'
 //       terminator line; errors print "error: <message> id=N". The id
@@ -51,9 +51,9 @@
 //       Responses use counted framing so clients can stream large
 //       results safely: every response is one status line ending in
 //       bytes=B, followed by exactly B payload bytes —
-//         ok source=... patterns=N iterations=I fingerprint=... \
-//            ms=F id=N bytes=B   (B bytes of FIMI patterns; 0 with
-//                                 --no-patterns)
+//         ok source=... patterns=N iterations=I fingerprint=...
+//            ms=F id=N bytes=B   (one line; B bytes of FIMI
+//                                 patterns; 0 with --no-patterns)
 //         error code=<CODE> id=N bytes=B   (B bytes of error message)
 //         stats ... bytes=0
 //         metrics bytes=B             (B bytes of exposition text)
@@ -272,7 +272,7 @@ int RunBatch(const Args& args) {
     }
     for (size_t i = 0; i < responses.size(); ++i) {
       if (!responses[i].result) continue;
-      char name[32];
+      char name[48];  // room for any size_t
       std::snprintf(name, sizeof(name), "response_%04zu.txt", i + 1);
       const std::string path = out_dir + "/" + name;
       Status written = WritePatternsFile(
