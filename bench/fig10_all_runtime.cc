@@ -78,12 +78,12 @@ int main() {
       return 1;
     }
 
+    std::string maximal_cell = maximal->stats.budget_exceeded ? ">" : "";
+    maximal_cell += TablePrinter::FormatSeconds(maximal_seconds);
+    std::string topk_cell = topk->stats.budget_exceeded ? ">" : "";
+    topk_cell += TablePrinter::FormatSeconds(topk_seconds);
     table.AddRow(
-        {std::to_string(sigma),
-         TablePrinter::FormatBudgetedSeconds(maximal_seconds,
-                                             maximal->stats.budget_exceeded),
-         TablePrinter::FormatBudgetedSeconds(topk_seconds,
-                                             topk->stats.budget_exceeded),
+        {std::to_string(sigma), maximal_cell, topk_cell,
          TablePrinter::FormatSeconds(fusion_seconds),
          std::to_string(
              fusion->patterns.empty() ? 0 : fusion->patterns[0].size())});

@@ -43,8 +43,8 @@ int main() {
                    baseline.status().ToString().c_str());
       return 1;
     }
-    const std::string baseline_cell = TablePrinter::FormatBudgetedSeconds(
-        baseline_seconds, baseline->stats.budget_exceeded);
+    std::string baseline_cell = baseline->stats.budget_exceeded ? ">" : "";
+    baseline_cell += TablePrinter::FormatSeconds(baseline_seconds);
     const std::string baseline_count =
         std::to_string(baseline->patterns.size()) +
         (baseline->stats.budget_exceeded ? "+" : "");

@@ -66,11 +66,4 @@ std::string TablePrinter::FormatSeconds(double seconds) {
   return FormatDouble(seconds, seconds < 0.01 ? 5 : 3);
 }
 
-std::string TablePrinter::FormatBudgetedSeconds(double seconds,
-                                                bool budget_exceeded) {
-  std::string cell = budget_exceeded ? ">" : "";
-  cell += FormatSeconds(seconds);
-  return cell;
-}
-
 }  // namespace colossal

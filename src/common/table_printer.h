@@ -33,9 +33,6 @@ class TablePrinter {
   // Cell formatting helpers.
   static std::string FormatDouble(double value, int precision);
   static std::string FormatSeconds(double seconds);
-  // FormatSeconds prefixed with '>' when the run stopped at its budget.
-  static std::string FormatBudgetedSeconds(double seconds,
-                                           bool budget_exceeded);
 
  private:
   std::vector<std::string> header_;

@@ -372,11 +372,14 @@ StatusOr<PatternFusionResult> FusionEngine::Run(PatternPool pool) {
         });
 
     // Merge in slot order: pool dedup (first writer wins) then stays
-    // deterministic for any thread count.
-    PatternPool next_pool(
-        num_transactions_,
-        static_cast<int64_t>(seeds.size()) * options_.max_superpatterns_per_seed,
-        options_.arena);
+    // deterministic for any thread count. The pool is sized to the
+    // candidates that exist, never to the seeds × retain bound, which a
+    // request may set arbitrarily high.
+    int64_t num_candidates = 0;
+    for (const std::vector<FusionCandidate>& candidates : per_seed) {
+      num_candidates += static_cast<int64_t>(candidates.size());
+    }
+    PatternPool next_pool(num_transactions_, num_candidates, options_.arena);
     for (const std::vector<FusionCandidate>& candidates : per_seed) {
       for (const FusionCandidate& candidate : candidates) {
         next_pool.Add(candidate.pattern);

@@ -73,17 +73,21 @@ StatusOr<PatternPool> PatternPool::FromPatterns(
 
 bool PatternPool::Add(std::span<const ItemId> items, const uint64_t* words,
                       int64_t support) {
-  IndexPendingRows();
+  if (slots_.empty()) {
+    COLOSSAL_CHECK(empty()) << "Add on a pool built with AppendRow";
+    // At least twice the capacity, so the table never fills and linear
+    // probes stay short.
+    slots_.assign(std::bit_ceil(static_cast<size_t>(capacity_) * 2 + 2), -1);
+  }
   const size_t slot = FindSlot(items);
   if (slots_[slot] >= 0) return false;
-  const int64_t row = AppendRow(items);
+  const int64_t row = PushRow(items);
   if (words_ > 0) {
     std::memcpy(mutable_row(row), words,
                 static_cast<size_t>(words_) * sizeof(uint64_t));
   }
   set_support(row, support);
   slots_[slot] = row;
-  indexed_rows_ = size();
   return true;
 }
 
@@ -96,6 +100,11 @@ bool PatternPool::Add(const Pattern& pattern) {
 }
 
 int64_t PatternPool::AppendRow(std::span<const ItemId> items) {
+  COLOSSAL_CHECK(slots_.empty()) << "AppendRow on a pool built with Add";
+  return PushRow(items);
+}
+
+int64_t PatternPool::PushRow(std::span<const ItemId> items) {
   COLOSSAL_CHECK(size() < capacity_) << "pool is full at " << capacity_;
   const int64_t row = size();
   if (words_ > 0) {
@@ -109,6 +118,7 @@ int64_t PatternPool::AppendRow(std::span<const ItemId> items) {
 }
 
 void PatternPool::RemoveRowsBelowSupport(int64_t min_support) {
+  COLOSSAL_CHECK(slots_.empty()) << "compacting a pool built with Add";
   int64_t kept = 0;
   size_t item_end = 0;
   for (int64_t i = 0; i < size(); ++i) {
@@ -132,9 +142,6 @@ void PatternPool::RemoveRowsBelowSupport(int64_t min_support) {
   supports_.resize(static_cast<size_t>(kept));
   offsets_.resize(static_cast<size_t>(kept) + 1);
   items_.resize(item_end);
-  // Row ids moved; the index is rebuilt on the next Add.
-  slots_.clear();
-  indexed_rows_ = 0;
 }
 
 Pattern PatternPool::ToPattern(int64_t i) const {
@@ -151,35 +158,11 @@ Pattern PatternPool::ToPattern(int64_t i) const {
   return pattern;
 }
 
-bool PatternPool::Contains(const Itemset& items) const {
-  const std::span<const ItemId> probe(items.items());
-  if (!slots_.empty() && slots_[FindSlot(probe)] >= 0) return true;
-  // Rows appended since the index last caught up.
-  for (int64_t i = indexed_rows_; i < size(); ++i) {
-    if (SameItems(this->items(i), probe)) return true;
-  }
-  return false;
-}
-
 size_t PatternPool::FindSlot(std::span<const ItemId> items) const {
   const size_t mask = slots_.size() - 1;
   for (size_t slot = SlotHash(items) & mask;; slot = (slot + 1) & mask) {
     const int64_t row = slots_[slot];
     if (row < 0 || SameItems(this->items(row), items)) return slot;
-  }
-}
-
-void PatternPool::IndexPendingRows() {
-  if (slots_.empty()) {
-    // At least twice the capacity, so the table never fills and linear
-    // probes stay short.
-    slots_.assign(std::bit_ceil(static_cast<size_t>(capacity_) * 2 + 2), -1);
-  }
-  for (; indexed_rows_ < size(); ++indexed_rows_) {
-    const size_t slot = FindSlot(items(indexed_rows_));
-    COLOSSAL_CHECK(slots_[slot] < 0)
-        << "AppendRow repeated an itemset already in the pool";
-    slots_[slot] = indexed_rows_;
   }
 }
 

@@ -38,9 +38,11 @@ struct PoolMatrixDeleter {
 //
 // Capacity is fixed at construction — every pool is sized exactly when
 // it is built — and the matrix is carved from `arena` when one is given
-// (the pool must then not outlive the arena). Rows are deduplicated by
-// itemset, first writer wins, through an open-addressing index of row
-// ids that hashes each row's CSR slice in place.
+// (the pool must then not outlive the arena). A pool is built one of two
+// ways, never both: by Add, which deduplicates by itemset (first writer
+// wins) through an open-addressing index of row ids that hashes each
+// row's CSR slice in place; or in place by AppendRow, whose caller
+// guarantees unique itemsets and which never builds the index.
 class PatternPool {
  public:
   // An empty pool for `capacity` rows of `num_bits` bits each.
@@ -61,6 +63,7 @@ class PatternPool {
   // Inserts the row (items, support set `words`, support) unless an
   // equal itemset is already present; returns true iff inserted.
   // `items` must be sorted and unique, `words` words_per_row() words.
+  // Not for a pool that AppendRow has filled.
   bool Add(std::span<const ItemId> items, const uint64_t* words,
            int64_t support);
   // Same for a pattern whose support set is num_bits() wide.
@@ -69,8 +72,8 @@ class PatternPool {
   // In-place building: appends a row for `items` whose support set is
   // all zeros and whose support is 0, for the caller to fill through
   // mutable_row()/set_support(). Not deduplicated — the caller
-  // guarantees `items` is not yet in the pool (a later Add checks it).
-  // Returns the new row's index.
+  // guarantees `items` is not yet in the pool. Not for a pool that Add
+  // has filled. Returns the new row's index.
   int64_t AppendRow(std::span<const ItemId> items);
   uint64_t* mutable_row(int64_t i) { return matrix_.get() + i * words_; }
   void set_support(int64_t i, int64_t support) {
@@ -78,12 +81,12 @@ class PatternPool {
   }
 
   // Removes every row whose support is below `min_support`, moving the
-  // survivors down in place; their relative order is kept.
+  // survivors down in place; their relative order is kept. For pools
+  // built with AppendRow.
   void RemoveRowsBelowSupport(int64_t min_support);
 
   int64_t size() const { return static_cast<int64_t>(supports_.size()); }
   bool empty() const { return supports_.empty(); }
-  int64_t capacity() const { return capacity_; }
   int64_t num_bits() const { return num_bits_; }
   int64_t words_per_row() const { return words_; }
 
@@ -103,8 +106,6 @@ class PatternPool {
   // A heap-backed copy of row i, independent of the pool and its arena.
   Pattern ToPattern(int64_t i) const;
 
-  bool Contains(const Itemset& items) const;
-
   // Cardinality of the smallest / largest pattern; 0 on an empty pool.
   // Lemma 5 states the minimum is non-decreasing across fusion
   // iterations, which the algorithm asserts via these.
@@ -115,12 +116,11 @@ class PatternPool {
   std::vector<int64_t> DrawSeeds(int64_t k, Rng& rng) const;
 
  private:
+  // Appends a zeroed row for `items` with no dedup or index update.
+  int64_t PushRow(std::span<const ItemId> items);
   // The index slot holding a row with `items`, or the empty slot where
   // one would go. Requires a non-empty index.
   size_t FindSlot(std::span<const ItemId> items) const;
-  // Indexes rows [indexed_rows_, size()), building the table on first
-  // use; the initial pool, which nothing is added to, never pays for it.
-  void IndexPendingRows();
 
   int64_t num_bits_ = 0;
   int64_t words_ = 0;
@@ -129,8 +129,8 @@ class PatternPool {
   std::vector<int64_t> supports_;
   std::vector<ItemId> items_;
   std::vector<size_t> offsets_;  // size() + 1 entries
-  std::vector<int64_t> slots_;   // row ids, -1 = empty; power-of-two size
-  int64_t indexed_rows_ = 0;
+  // Row ids, -1 = empty; power-of-two size. Empty until the first Add.
+  std::vector<int64_t> slots_;
 };
 
 }  // namespace colossal

@@ -131,10 +131,8 @@ const Bitvector& TransactionDatabase::item_tidset(ItemId item) const {
 Bitvector TransactionDatabase::SupportSet(const Itemset& itemset,
                                           Arena* arena) const {
   if (itemset.empty()) return Bitvector(num_transactions(), arena, true);
-  Bitvector support(item_tidset(itemset[0]), arena);
-  for (int i = 1; i < itemset.size(); ++i) {
-    support.AndWith(item_tidset(itemset[i]));
-  }
+  Bitvector support(num_transactions(), arena);
+  WriteSupportSet(itemset.items(), support.mutable_words());
   return support;
 }
 

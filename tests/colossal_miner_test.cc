@@ -1,10 +1,12 @@
 #include "core/colossal_miner.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "data/generators.h"
 
 namespace colossal {
@@ -77,6 +79,38 @@ TEST(ColossalMinerTest, DiagPlusFindsTheColossalPattern) {
   EXPECT_EQ(result->initial_pool_size, 1600);
   EXPECT_TRUE(ResultContains(*result, labeled.planted[0]));
   EXPECT_EQ(result->patterns[0].size(), 39);
+}
+
+// The retain cap (max_superpatterns_per_seed) arrives from requests
+// unclamped. ProcessSeed emits at most fusion_attempts_per_seed
+// candidates, so any cap at or above that gives the same answer — and
+// must cost the same memory: pools are sized to the candidates that
+// exist, not to seeds × cap (which here would be terabytes).
+TEST(ColossalMinerTest, HugeRetainCapMinesWithNormalMemory) {
+  LabeledDatabase labeled = MakeDiagPlus(40, 20);
+  ColossalMinerOptions options;
+  options.min_support_count = labeled.min_support_count;
+  options.initial_pool_max_size = 2;
+  options.k = 100;
+  options.seed = 7;
+  options.num_threads = 1;
+  options.max_superpatterns_per_seed = options.fusion_attempts_per_seed;
+  Arena exact_arena;
+  StatusOr<ColossalMiningResult> exact =
+      MineColossal(labeled.db, options, &exact_arena);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+
+  options.max_superpatterns_per_seed = std::numeric_limits<int>::max();
+  Arena huge_arena;
+  StatusOr<ColossalMiningResult> huge =
+      MineColossal(labeled.db, options, &huge_arena);
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  EXPECT_EQ(huge_arena.high_water_bytes(), exact_arena.high_water_bytes());
+  EXPECT_LT(huge_arena.high_water_bytes(), int64_t{64} << 20);
+  ASSERT_EQ(huge->patterns.size(), exact->patterns.size());
+  for (size_t i = 0; i < exact->patterns.size(); ++i) {
+    EXPECT_TRUE(huge->patterns[i] == exact->patterns[i]) << i;
+  }
 }
 
 // The paper's headline microarray claim: Pattern-Fusion "is able to get
