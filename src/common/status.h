@@ -132,6 +132,9 @@ class StatusOr {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  // `*std::move(status_or)` moves the value out; without this overload
+  // it would bind to the const& one and copy.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

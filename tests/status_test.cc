@@ -1,5 +1,6 @@
 #include "common/status.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -63,6 +64,15 @@ TEST(StatusOrTest, MovesValueOut) {
   ASSERT_TRUE(value.ok());
   std::string moved = *std::move(value);
   EXPECT_EQ(moved, "payload");
+}
+
+TEST(StatusOrTest, DereferencingAnRvalueMovesTheValue) {
+  StatusOr<std::unique_ptr<int>> value = std::make_unique<int>(7);
+  ASSERT_TRUE(value.ok());
+  const int* address = value->get();
+  std::unique_ptr<int> moved = *std::move(value);
+  EXPECT_EQ(moved.get(), address);
+  EXPECT_EQ(*moved, 7);
 }
 
 TEST(StatusOrTest, ArrowOperatorReachesMembers) {
