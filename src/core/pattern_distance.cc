@@ -46,16 +46,23 @@ std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
 
 std::vector<int64_t> BallQuery(const PatternPool& pool, const uint64_t* center,
                                int64_t center_support, double radius) {
+  std::vector<int64_t> members;
+  BallQuery(pool, center, center_support, radius, &members);
+  return members;
+}
+
+void BallQuery(const PatternPool& pool, const uint64_t* center,
+               int64_t center_support, double radius,
+               std::vector<int64_t>* members) {
   const auto and_count = ActiveBitvectorKernels().and_count_words;
   const int64_t words = pool.words_per_row();
-  std::vector<int64_t> members;
+  members->clear();
   for (int64_t i = 0; i < pool.size(); ++i) {
     const int64_t common = and_count(pool.row(i), center, words);
     if (WithinBall(common, pool.support(i), center_support, radius)) {
-      members.push_back(i);
+      members->push_back(i);
     }
   }
-  return members;
 }
 
 }  // namespace colossal

@@ -48,6 +48,12 @@ std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
 std::vector<int64_t> BallQuery(const PatternPool& pool, const uint64_t* center,
                                int64_t center_support, double radius);
 
+// The same scan into `members`, which is cleared first and keeps its
+// capacity, so a caller running many queries reuses one buffer.
+void BallQuery(const PatternPool& pool, const uint64_t* center,
+               int64_t center_support, double radius,
+               std::vector<int64_t>* members);
+
 }  // namespace colossal
 
 #endif  // COLOSSAL_CORE_PATTERN_DISTANCE_H_

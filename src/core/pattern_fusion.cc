@@ -259,8 +259,15 @@ FusionEngine::FusionEngine(const TransactionDatabase& db,
 std::vector<FusionCandidate> FusionEngine::ProcessSeed(
     const PatternPool& pool, int64_t seed_index, double radius,
     Rng& rng) const {
-  std::vector<int64_t> ball = BallQuery(pool, pool.row(seed_index),
-                                        pool.support(seed_index), radius);
+  // A ball can hold the whole pool (all 42k rows on the microarray, a
+  // 340 KB index list). Each thread keeps one buffer, sized once to the
+  // pool, for all its seeds and iterations: a fresh vector per seed
+  // allocated and freed hundreds of blocks that size per mine, and that
+  // churn left the server's resident set depending on run timing.
+  thread_local std::vector<int64_t> ball;
+  ball.reserve(static_cast<size_t>(pool.size()));
+  BallQuery(pool, pool.row(seed_index), pool.support(seed_index), radius,
+            &ball);
 
   // Fusion(α.CoreList): several shuffled greedy passes, each able to
   // reach a different super-pattern the ball's members are cores of.

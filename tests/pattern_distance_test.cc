@@ -309,13 +309,22 @@ TEST(BallQueryTest, PoolScanMatchesVectorFormAtEveryWidth) {
     ASSERT_EQ(pool->words_per_row(), (num_transactions + 63) / 64);
     std::vector<Pattern> centers = {patterns[0], patterns[40],
                                     MakePattern(db, Itemset({1, 2, 3}))};
+    // One buffer across every query, as the fusion engine's seeds share
+    // one: each query must replace what the previous one left.
+    std::vector<int64_t> reused = {-1, -2, -3};
     for (const Pattern& center : centers) {
       for (double radius : {0.2, BallRadius(0.5), BallRadius(0.25)}) {
+        const std::vector<int64_t> expected =
+            BallQuery(patterns, center, radius);
         EXPECT_EQ(BallQuery(*pool, center.support_set.words(), center.support,
                             radius),
-                  BallQuery(patterns, center, radius))
+                  expected)
             << num_transactions << " transactions, center "
             << center.items.ToString() << " radius " << radius;
+        BallQuery(*pool, center.support_set.words(), center.support, radius,
+                  &reused);
+        EXPECT_EQ(reused, expected)
+            << "reused buffer, " << num_transactions << " transactions";
       }
     }
   }
