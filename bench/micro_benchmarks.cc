@@ -77,12 +77,15 @@ void BM_SupportSet(benchmark::State& state) {
 }
 BENCHMARK(BM_SupportSet);
 
-// A fusion workload at one of the two support-set widths the paper's
-// runs exercise: words = 1 is the microarray stand-in (38 rows, pool
-// bound 2, σ·|D| = 30), words = 69 the program-trace stand-in (4,395
-// rows, pool bound 2 at its planted support). The pool is the columnar
-// one the engine scans; `center` is the first planted pattern, and
-// `pair_row` the pool row of {0, 1} (universal items in both).
+// A fusion workload at a given support-set width. words = 1 is the
+// microarray stand-in (38 rows, pool bound 2, σ·|D| = 30) and words = 69
+// the program-trace stand-in (4,395 rows, pool bound 2 at its planted
+// support), the two widths the paper's runs exercise. Any other width w
+// is the trace stand-in cut to its first 64·w transactions, with the
+// planted support scaled to the cut; the widths between the two place
+// FuseOnce's filter-order cut. The pool is the columnar one the engine
+// scans; `center` is the first planted pattern, and `pair_row` the pool
+// row of {0, 1} (universal items in both).
 struct FusionBenchData {
   PatternPool pool;
   Pattern center;
@@ -93,7 +96,19 @@ struct FusionBenchData {
 FusionBenchData MakeFusionBenchData(int64_t words) {
   LabeledDatabase labeled =
       words == 1 ? MakeMicroarrayLike(1) : MakeProgramTraceLike(1);
-  const int64_t min_support = words == 1 ? 30 : labeled.min_support_count;
+  int64_t min_support = words == 1 ? 30 : labeled.min_support_count;
+  if (words != 1 && words != 69) {
+    const int64_t full = labeled.db.num_transactions();
+    const int64_t cut = 64 * words;
+    COLOSSAL_CHECK(cut < full) << "no " << words << "-word cut of the trace";
+    std::vector<Itemset> head(labeled.db.transactions().begin(),
+                              labeled.db.transactions().begin() + cut);
+    StatusOr<TransactionDatabase> db =
+        TransactionDatabase::FromItemsets(std::move(head));
+    COLOSSAL_CHECK(db.ok()) << db.status().ToString();
+    labeled.db = *std::move(db);
+    min_support = (min_support * cut + full - 1) / full;
+  }
   StatusOr<PatternPool> pool =
       BuildInitialPatternPool(labeled.db, min_support, 2);
   COLOSSAL_CHECK(pool.ok()) << pool.status().ToString();
@@ -137,7 +152,16 @@ void BM_FuseOnce(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ball.size()));
 }
-BENCHMARK(BM_FuseOnce)->ArgName("words")->Arg(1)->Arg(69);
+BENCHMARK(BM_FuseOnce)
+    ->ArgName("words")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(69);
 
 // The engine's access pattern (FusionEngine::ProcessSeed): a pool
 // pattern's ball, shuffled, fused to saturation. Cycles through 16
@@ -164,7 +188,42 @@ void BM_FuseOnceShuffledPool(benchmark::State& state) {
   }
   state.SetItemsProcessed(walked);
 }
-BENCHMARK(BM_FuseOnceShuffledPool)->ArgName("words")->Arg(1)->Arg(69);
+BENCHMARK(BM_FuseOnceShuffledPool)
+    ->ArgName("words")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(69);
+
+// One raw draw of the engine behind every Rng (MT19937-64), amortizing
+// its block refill over 312 draws.
+void BM_RngDraw(benchmark::State& state) {
+  Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.NextUint64());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngDraw);
+
+// A fusion seed's shuffle: Fisher–Yates over a ball the size of the
+// microarray pool (42,254 rows, every ball the whole pool). items/s
+// counts elements shuffled.
+void BM_RngShuffle(benchmark::State& state) {
+  std::vector<int64_t> ball(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < ball.size(); ++i) ball[i] = static_cast<int64_t>(i);
+  Rng rng(13);
+  for (auto _ : state) {
+    rng.Shuffle(ball);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RngShuffle)->Arg(42254);
 
 void BM_AprioriPoolTrace(benchmark::State& state) {
   LabeledDatabase labeled = MakeProgramTraceLike(1);

@@ -1,6 +1,7 @@
 #ifndef COLOSSAL_COMMON_RNG_H_
 #define COLOSSAL_COMMON_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -8,6 +9,42 @@
 #include "common/check.h"
 
 namespace colossal {
+
+// MT19937-64 with the seeding, recurrence, tempering and output of
+// std::mt19937_64, so it is a drop-in UniformRandomBitGenerator: every
+// raw draw, and every std:: distribution it drives, is bit-identical to
+// the standard engine's (tests/rng_test.cc pins this). It differs only in
+// its refill, which writes the twist's conditional xor with the matrix
+// constant as a mask rather than a branch, so the compiler vectorizes it
+// at the baseline x86-64 instruction set. No translation unit needs a
+// target flag, so inline code is compiled one way everywhere.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed);
+
+  result_type operator()() {
+    if (next_ >= kStateSize) Refill();
+    result_type z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr size_t kStateSize = 312;
+
+  // Twists all kStateSize words of state and rewinds next_.
+  void Refill();
+
+  result_type state_[kStateSize];
+  size_t next_ = kStateSize;  // the first draw refills
+};
 
 // Deterministic pseudo-random source. Every randomized component in the
 // library (generators, Pattern-Fusion's seed draws, fusion shuffles,
@@ -100,10 +137,8 @@ class Rng {
     return z ^ (z >> 31);
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace colossal

@@ -31,6 +31,13 @@ bool WithinBall(int64_t common, int64_t a_support, int64_t b_support,
   return distance <= radius + kBallEpsilon;
 }
 
+bool BallIsWholePool(int64_t num_transactions, int64_t center_support,
+                     int64_t min_support, double radius) {
+  const int64_t least_common = center_support + min_support - num_transactions;
+  return least_common >= 0 &&
+         WithinBall(least_common, center_support, min_support, radius);
+}
+
 std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
                                const Pattern& center, double radius) {
   std::vector<int64_t> members;

@@ -32,6 +32,18 @@ double BallRadius(double tau);
 bool WithinBall(int64_t common, int64_t a_support, int64_t b_support,
                 double radius);
 
+// The whole-pool certificate: true only if every pattern of a pool whose
+// supports are all ≥ `min_support` lies within `radius` of a center of
+// support `center_support`, all support sets being subsets of the same
+// `num_transactions` transactions. Each member β then has
+// |D_α ∩ D_β| ≥ |D_α| + |D_β| − n ≥ |D_α| + min_support − n and
+// |D_α ∪ D_β| ≤ n, so Dist(α, β) ≤ 1 − (|D_α| + min_support − n)/n;
+// the predicate is WithinBall at that worst case, whose computed quotient
+// is monotone in the exact one, so it never admits a pair WithinBall
+// would reject. When it holds, BallQuery returns 0..size()−1.
+bool BallIsWholePool(int64_t num_transactions, int64_t center_support,
+                     int64_t min_support, double radius);
+
 // Indices of every pool pattern within `radius` (≥ 0) of `center`, by
 // WithinBall. The center itself, if present in the pool, is included.
 // Precondition: every pattern's cached `support` equals

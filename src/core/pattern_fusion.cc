@@ -115,8 +115,11 @@ class ItemBitmap {
 };
 
 // FuseOnce over a pool counts the intersection before it probes items
-// when a row fits one cache line (8 words).
-constexpr int64_t kCountFirstMaxWords = 8;
+// when a row is at most this many words. Placed by BM_FuseOnce and
+// BM_FuseOnceShuffledPool: counting first wins on the 1-word microarray
+// stand-in, the orders tie on a 2-word cut of the trace stand-in, and
+// probing items first wins from 4 words up.
+constexpr int64_t kCountFirstMaxWords = 2;
 
 }  // namespace
 
@@ -257,8 +260,8 @@ FusionEngine::FusionEngine(const TransactionDatabase& db,
     : FusionEngine(db.num_transactions(), options) {}
 
 std::vector<FusionCandidate> FusionEngine::ProcessSeed(
-    const PatternPool& pool, int64_t seed_index, double radius,
-    Rng& rng) const {
+    const PatternPool& pool, int64_t seed_index, int64_t min_support,
+    double radius, Rng& rng) const {
   // A ball can hold the whole pool (all 42k rows on the microarray, a
   // 340 KB index list). Each thread keeps one buffer, sized once to the
   // pool, for all its seeds and iterations: a fresh vector per seed
@@ -266,8 +269,16 @@ std::vector<FusionCandidate> FusionEngine::ProcessSeed(
   // churn left the server's resident set depending on run timing.
   thread_local std::vector<int64_t> ball;
   ball.reserve(static_cast<size_t>(pool.size()));
-  BallQuery(pool, pool.row(seed_index), pool.support(seed_index), radius,
-            &ball);
+  // A seed whose support leaves no pool row outside the ball gets the
+  // scan's answer, 0..size()−1, without the scan.
+  if (BallIsWholePool(pool.num_bits(), pool.support(seed_index), min_support,
+                      radius)) {
+    ball.resize(static_cast<size_t>(pool.size()));
+    std::iota(ball.begin(), ball.end(), int64_t{0});
+  } else {
+    BallQuery(pool, pool.row(seed_index), pool.support(seed_index), radius,
+              &ball);
+  }
 
   // Fusion(α.CoreList): several shuffled greedy passes, each able to
   // reach a different super-pattern the ball's members are cores of.
@@ -365,6 +376,7 @@ StatusOr<PatternFusionResult> FusionEngine::Run(PatternPool pool) {
     // Algorithm 2, lines 2–7: draw K seeds, then shard the per-seed work
     // (ball query + fusions + retention) across the pool of workers.
     const std::vector<int64_t> seeds = pool.DrawSeeds(options_.k, master);
+    const int64_t min_support = pool.MinSupport();
     if (num_threads > 1 && workers == nullptr) {
       workers = std::make_unique<ThreadPool>(num_threads);
     }
@@ -374,8 +386,8 @@ StatusOr<PatternFusionResult> FusionEngine::Run(PatternPool pool) {
         workers.get(), static_cast<int64_t>(seeds.size()), [&](int64_t slot) {
           Rng slot_rng(
               Rng::MixSeed(iteration_stream, static_cast<uint64_t>(slot)));
-          return ProcessSeed(pool, seeds[static_cast<size_t>(slot)], radius,
-                             slot_rng);
+          return ProcessSeed(pool, seeds[static_cast<size_t>(slot)],
+                             min_support, radius, slot_rng);
         });
 
     // Merge in slot order: pool dedup (first writer wins) then stays

@@ -157,8 +157,11 @@ class FusionEngine {
   // shuffled greedy fusions, per-seed dedup, weighted retention. Pure
   // with respect to shared state — reads the pool, draws only from the
   // slot's own rng — which is what makes seed slots safe to shard.
+  // `min_support` is the pool's smallest support, for the whole-pool
+  // certificate (BallIsWholePool) that lets a seed skip its scan.
   std::vector<FusionCandidate> ProcessSeed(const PatternPool& pool,
-                                           int64_t seed_index, double radius,
+                                           int64_t seed_index,
+                                           int64_t min_support, double radius,
                                            Rng& rng) const;
 
   const int64_t num_transactions_;
@@ -239,10 +242,10 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
 // member filters (absorbed / max_items on items, frequency / τ-core on
 // the intersection count) are pure and all must pass, so their order
 // cannot change the result; it is picked from the row width. Rows of
-// at most one cache line (≤ 8 words) count first, because the count is
-// then cheaper than probing the member's items; wider rows test items
-// first, because many members of a wide ball are already absorbed and
-// skip the count entirely.
+// at most 2 words count first, because the count is then cheaper than
+// probing the member's items; wider rows test items first, because
+// many members of a wide ball are already absorbed and skip the count
+// entirely.
 FusionOutcome FuseOnce(const PatternPool& pool,
                        const std::vector<int64_t>& ball_order,
                        int64_t seed_index, int64_t min_support_count,

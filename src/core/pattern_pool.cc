@@ -184,6 +184,12 @@ int PatternPool::MaxPatternSize() const {
   return largest;
 }
 
+int64_t PatternPool::MinSupport() const {
+  return supports_.empty()
+             ? 0
+             : *std::min_element(supports_.begin(), supports_.end());
+}
+
 std::vector<int64_t> PatternPool::DrawSeeds(int64_t k, Rng& rng) const {
   const int64_t count = std::min(k, size());
   return rng.SampleWithoutReplacement(size(), count);

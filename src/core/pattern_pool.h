@@ -111,6 +111,8 @@ class PatternPool {
   // iterations, which the algorithm asserts via these.
   int MinPatternSize() const;
   int MaxPatternSize() const;
+  // The smallest support; 0 on an empty pool.
+  int64_t MinSupport() const;
 
   // Draws min(k, size()) distinct pattern indices uniformly at random.
   std::vector<int64_t> DrawSeeds(int64_t k, Rng& rng) const;

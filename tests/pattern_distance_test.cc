@@ -1,5 +1,6 @@
 #include "core/pattern_distance.h"
 
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -206,19 +207,31 @@ TEST(BallQueryTest, BoundaryDistancesAreIncluded) {
 // filter keeps, at every radius, including the degenerate pairs its
 // single-AndCount formula folds in: empty support sets (distance 0 to
 // each other, 1 to anything else) and disjoint sets (distance 1).
-// The columnar scan is checked against the same brute force.
+// The columnar scan is checked against the same brute force. Wherever
+// BallIsWholePool holds for a center, the ball must be the whole pool;
+// `certified`, if given, counts those centers.
 void ExpectBallQueryMatchesBruteForce(const std::vector<Pattern>& pool,
-                                      double radius) {
+                                      double radius,
+                                      int* certified = nullptr) {
   StatusOr<PatternPool> columnar =
       PatternPool::FromPatterns(pool[0].support_set.size_bits(), pool);
   ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
   ASSERT_EQ(columnar->size(), static_cast<int64_t>(pool.size()));
+  std::vector<int64_t> whole_pool(pool.size());
+  std::iota(whole_pool.begin(), whole_pool.end(), int64_t{0});
   for (const Pattern& center : pool) {
     std::vector<int64_t> expected;
     for (size_t i = 0; i < pool.size(); ++i) {
       if (PatternDistance(pool[i], center) <= radius + 1e-9) {
         expected.push_back(static_cast<int64_t>(i));
       }
+    }
+    if (BallIsWholePool(columnar->num_bits(), center.support,
+                        columnar->MinSupport(), radius)) {
+      EXPECT_EQ(expected, whole_pool)
+          << "certified center " << center.items.ToString() << " radius "
+          << radius;
+      if (certified != nullptr) ++*certified;
     }
     EXPECT_EQ(BallQuery(pool, center, radius), expected)
         << "center " << center.items.ToString() << " radius " << radius;
@@ -237,27 +250,42 @@ Pattern EmptySupportPattern(const TransactionDatabase& db, ItemId item) {
   return pattern;
 }
 
+// Sparse pools (with empty support sets, so the certificate holds only
+// at radius 1) and dense ones, where supports near |D| let the
+// whole-pool certificate hold at the radii of several τ.
 TEST(BallQueryTest, MatchesBruteForceOnRandomPools) {
-  for (uint64_t seed : {1, 2, 3}) {
-    RandomDatabaseOptions options;
-    options.num_transactions = 50;
-    options.num_items = 12;
-    options.density = 0.3;
-    options.seed = seed;
-    TransactionDatabase db = MakeRandomDatabase(options);
-    std::vector<Pattern> pool;
-    for (ItemId i = 0; i < db.num_items(); ++i) {
-      for (ItemId j = i; j < db.num_items(); ++j) {
-        pool.push_back(MakePattern(db, Itemset::FromUnsorted({i, j})));
+  struct Shape {
+    int64_t num_transactions;
+    double density;
+  };
+  int certified = 0;
+  for (const Shape& shape : {Shape{50, 0.3}, Shape{38, 0.85}, Shape{64, 0.9},
+                             Shape{65, 0.9}, Shape{130, 0.95}}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      RandomDatabaseOptions options;
+      options.num_transactions = shape.num_transactions;
+      options.num_items = 12;
+      options.density = shape.density;
+      options.seed = seed;
+      TransactionDatabase db = MakeRandomDatabase(options);
+      std::vector<Pattern> pool;
+      for (ItemId i = 0; i < db.num_items(); ++i) {
+        for (ItemId j = i; j < db.num_items(); ++j) {
+          pool.push_back(MakePattern(db, Itemset::FromUnsorted({i, j})));
+        }
+      }
+      if (shape.density < 0.5) {
+        pool.push_back(EmptySupportPattern(db, 100));
+        pool.push_back(EmptySupportPattern(db, 101));
+      }
+      for (double radius :
+           {0.0, 0.1, BallRadius(0.3), BallRadius(0.5), BallRadius(0.7),
+            BallRadius(0.9), BallRadius(1.0), BallRadius(0.25), 0.999, 1.0}) {
+        ExpectBallQueryMatchesBruteForce(pool, radius, &certified);
       }
     }
-    pool.push_back(EmptySupportPattern(db, 100));
-    pool.push_back(EmptySupportPattern(db, 101));
-    for (double radius : {0.0, 0.1, BallRadius(0.5), BallRadius(0.25),
-                          0.999, 1.0}) {
-      ExpectBallQueryMatchesBruteForce(pool, radius);
-    }
   }
+  EXPECT_GT(certified, 0);
 }
 
 TEST(BallQueryTest, MatchesBruteForceOnDisjointAndBoundaryPairs) {
@@ -284,6 +312,24 @@ TEST(BallQueryTest, MatchesBruteForceOnDisjointAndBoundaryPairs) {
   EXPECT_NEAR(PatternDistance(halves[0], halves[1]), 2.0 / 3.0, 1e-12);
   ExpectBallQueryMatchesBruteForce(halves, BallRadius(0.5));
   EXPECT_EQ(BallQuery(halves, halves[0], BallRadius(0.5)).size(), 2u);
+  // Not every half is in halves[0]'s ball, so the certificate must fail.
+  EXPECT_FALSE(BallIsWholePool(24, 12, 12, BallRadius(0.5)));
+
+  // Diag_30's 10-item patterns all have support 20, and two disjoint
+  // ones share 30 − 20 = 10 rows of a 30-row union: exactly r(0.5), the
+  // certificate's own worst case 1 − (20 + 20 − 30)/30. The certificate
+  // holds only by WithinBall's epsilon, and the scan must agree.
+  TransactionDatabase diag30 = MakeDiag(30);
+  std::vector<Pattern> tenths;
+  for (ItemId start : {0, 10, 20, 5}) {
+    std::vector<ItemId> items;
+    for (ItemId i = start; i < start + 10; ++i) items.push_back(i);
+    tenths.push_back(MakePattern(diag30, Itemset::FromUnsorted(items)));
+  }
+  EXPECT_NEAR(PatternDistance(tenths[0], tenths[1]), 2.0 / 3.0, 1e-12);
+  int certified = 0;
+  ExpectBallQueryMatchesBruteForce(tenths, BallRadius(0.5), &certified);
+  EXPECT_EQ(certified, 4);
 }
 
 // The pool scan against the vector form at the row widths on either
