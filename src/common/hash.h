@@ -34,8 +34,8 @@ inline uint64_t HashBytes(const void* data, size_t size,
   return hash;
 }
 
-// Content hash of a sorted item list, for use in unordered containers
-// and PatternPool's row index (which hashes its CSR slices in place).
+// Content hash of a sorted item list, for PatternPool's row index
+// (which hashes its CSR slices in place).
 inline uint64_t HashItems(std::span<const ItemId> items) {
   uint64_t hash = kFnvOffsetBasis;
   for (ItemId item : items) {
@@ -43,22 +43,6 @@ inline uint64_t HashItems(std::span<const ItemId> items) {
   }
   return HashCombine(hash, static_cast<uint64_t>(items.size()));
 }
-
-// Content hash of an itemset, for use in unordered containers.
-inline uint64_t HashItemset(const Itemset& itemset) {
-  return HashItems(itemset.items());
-}
-
-// Functor adapters for std::unordered_{set,map}.
-struct ItemsetHash {
-  size_t operator()(const Itemset& itemset) const {
-    return static_cast<size_t>(HashItemset(itemset));
-  }
-};
-
-struct ItemsetEq {
-  bool operator()(const Itemset& a, const Itemset& b) const { return a == b; }
-};
 
 }  // namespace colossal
 

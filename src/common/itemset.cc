@@ -59,21 +59,6 @@ bool Itemset::IsProperSubsetOf(const Itemset& other) const {
   return size() < other.size() && IsSubsetOf(other);
 }
 
-Itemset Itemset::WithItem(ItemId item) const {
-  if (Contains(item)) return *this;
-  Itemset result = *this;
-  auto pos = std::lower_bound(result.items_.begin(), result.items_.end(), item);
-  result.items_.insert(pos, item);
-  return result;
-}
-
-Itemset Itemset::WithoutItem(ItemId item) const {
-  Itemset result = *this;
-  auto pos = std::lower_bound(result.items_.begin(), result.items_.end(), item);
-  if (pos != result.items_.end() && *pos == item) result.items_.erase(pos);
-  return result;
-}
-
 std::string Itemset::ToString() const {
   std::ostringstream out;
   out << "{";

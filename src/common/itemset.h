@@ -53,12 +53,6 @@ class Itemset {
   // Returns true iff this is a subset of `other` and not equal to it.
   bool IsProperSubsetOf(const Itemset& other) const;
 
-  // Returns a copy with `item` inserted (no-op if already present).
-  Itemset WithItem(ItemId item) const;
-
-  // Returns a copy with `item` removed (no-op if absent).
-  Itemset WithoutItem(ItemId item) const;
-
   // Renders as "{a b c}" using decimal ids.
   std::string ToString() const;
 

@@ -456,27 +456,29 @@ StatusOr<PatternPool> BuildInitialPatternPool(
   miner_options.num_threads = num_threads;
   miner_options.arena = arena;
   miner_options.constraints = constraints;
-  StatusOr<MiningResult> mined = MineApriori(db, miner_options);
+  std::vector<PatternPool> levels;
+  int64_t total = 0;
+  StatusOr<MinerStats> mined =
+      MineAprioriLevels(db, miner_options, [&](PatternPool level) {
+        total += level.size();
+        levels.push_back(std::move(level));
+      });
   if (!mined.ok()) return mined.status();
-  if (mined->patterns.empty()) {
+  if (total == 0) {
     return Status::FailedPrecondition(
         "no frequent patterns at min_support_count " +
         std::to_string(min_support_count));
   }
-  // The pool order is Apriori's emission order: level by level, and
-  // within a level in join-row order, which is (size, lexicographic)
-  // order already. The fusion engine is pool-order-sensitive (seed draws
-  // index the pool); the sharded miner's phase 3 sorts its stitched
-  // candidates into this same order, which is what makes its pool
-  // positionally identical to this one.
-  const BitvectorKernels& kernels = ActiveBitvectorKernels();
-  PatternPool pool(db.num_transactions(),
-                   static_cast<int64_t>(mined->patterns.size()), arena);
-  for (const FrequentItemset& entry : mined->patterns) {
-    const int64_t row = pool.AppendRow(entry.items.items());
-    db.WriteSupportSet(entry.items.items(), pool.mutable_row(row));
-    pool.set_support(row, kernels.popcount_words(pool.row(row),
-                                                 pool.words_per_row()));
+  // The levels in order are the pool order: (size, lexicographic). The
+  // fusion engine is pool-order-sensitive (seed draws index the pool);
+  // the sharded miner's phase 3 sorts its stitched candidates into this
+  // same order, which is what makes its pool positionally identical to
+  // this one. Every support set is carried over from its level row.
+  PatternPool pool(db.num_transactions(), total, arena);
+  for (const PatternPool& level : levels) {
+    for (int64_t i = 0; i < level.size(); ++i) {
+      pool.AppendRow(level.items(i), level.row(i), level.support(i));
+    }
   }
   return pool;
 }

@@ -198,9 +198,10 @@ enum class PoolMiner {
 // max_len is expressed through max_pattern_size by the caller, and
 // min_len must not prune the pool (small patterns are fusion's
 // building blocks).
-// The pool is built in place: each mined itemset's support set is
-// written straight into its row of the pool's matrix (arena-backed when
-// `arena` is given), with no per-pattern Bitvector.
+// The pool is Apriori's level store (MineAprioriLevels) copied, level
+// by level, into one exactly sized matrix (arena-backed when `arena` is
+// given): every support set is carried over from its level row, never
+// re-derived from the vertical index.
 StatusOr<PatternPool> BuildInitialPatternPool(
     const TransactionDatabase& db, int64_t min_support_count,
     int max_pattern_size, int num_threads = 0, Arena* arena = nullptr,

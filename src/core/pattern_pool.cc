@@ -81,13 +81,7 @@ bool PatternPool::Add(std::span<const ItemId> items, const uint64_t* words,
   }
   const size_t slot = FindSlot(items);
   if (slots_[slot] >= 0) return false;
-  const int64_t row = PushRow(items);
-  if (words_ > 0) {
-    std::memcpy(mutable_row(row), words,
-                static_cast<size_t>(words_) * sizeof(uint64_t));
-  }
-  set_support(row, support);
-  slots_[slot] = row;
+  slots_[slot] = PushRow(items, words, support);
   return true;
 }
 
@@ -99,19 +93,25 @@ bool PatternPool::Add(const Pattern& pattern) {
              pattern.support);
 }
 
-int64_t PatternPool::AppendRow(std::span<const ItemId> items) {
+int64_t PatternPool::AppendRow(std::span<const ItemId> items,
+                               const uint64_t* words, int64_t support) {
   COLOSSAL_CHECK(slots_.empty()) << "AppendRow on a pool built with Add";
-  return PushRow(items);
+  return PushRow(items, words, support);
 }
 
-int64_t PatternPool::PushRow(std::span<const ItemId> items) {
+int64_t PatternPool::PushRow(std::span<const ItemId> items,
+                             const uint64_t* words, int64_t support) {
   COLOSSAL_CHECK(size() < capacity_) << "pool is full at " << capacity_;
   const int64_t row = size();
   if (words_ > 0) {
-    std::memset(mutable_row(row), 0,
-                static_cast<size_t>(words_) * sizeof(uint64_t));
+    const size_t bytes = static_cast<size_t>(words_) * sizeof(uint64_t);
+    if (words != nullptr) {
+      std::memcpy(mutable_row(row), words, bytes);
+    } else {
+      std::memset(mutable_row(row), 0, bytes);
+    }
   }
-  supports_.push_back(0);
+  supports_.push_back(support);
   items_.insert(items_.end(), items.begin(), items.end());
   offsets_.push_back(items_.size());
   return row;

@@ -69,12 +69,14 @@ class PatternPool {
   // Same for a pattern whose support set is num_bits() wide.
   bool Add(const Pattern& pattern);
 
-  // In-place building: appends a row for `items` whose support set is
-  // all zeros and whose support is 0, for the caller to fill through
-  // mutable_row()/set_support(). Not deduplicated — the caller
+  // In-place building: appends a row for `items` with support set
+  // `words` (words_per_row() words) and `support`; with no `words`, the
+  // support set is all zeros and the support 0, for the caller to fill
+  // through mutable_row()/set_support(). Not deduplicated — the caller
   // guarantees `items` is not yet in the pool. Not for a pool that Add
   // has filled. Returns the new row's index.
-  int64_t AppendRow(std::span<const ItemId> items);
+  int64_t AppendRow(std::span<const ItemId> items,
+                    const uint64_t* words = nullptr, int64_t support = 0);
   uint64_t* mutable_row(int64_t i) { return matrix_.get() + i * words_; }
   void set_support(int64_t i, int64_t support) {
     supports_[static_cast<size_t>(i)] = support;
@@ -118,8 +120,9 @@ class PatternPool {
   std::vector<int64_t> DrawSeeds(int64_t k, Rng& rng) const;
 
  private:
-  // Appends a zeroed row for `items` with no dedup or index update.
-  int64_t PushRow(std::span<const ItemId> items);
+  // AppendRow with no dedup or index check.
+  int64_t PushRow(std::span<const ItemId> items, const uint64_t* words,
+                  int64_t support);
   // The index slot holding a row with `items`, or the empty slot where
   // one would go. Requires a non-empty index.
   size_t FindSlot(std::span<const ItemId> items) const;

@@ -2,60 +2,55 @@
 
 #include <algorithm>
 #include <memory>
+#include <ranges>
+#include <span>
 #include <utility>
+#include <vector>
 
-#include "common/bitvector.h"
+#include "common/bitvector_kernels.h"
 #include "common/thread_pool.h"
 
 namespace colossal {
 
 namespace {
 
-// One frequent itemset at the current level, carrying its support set so
-// the next level's counting is a single AND per candidate.
-struct LevelEntry {
-  Itemset items;
-  Bitvector support_set;
-  int64_t support = 0;
-};
+// Whether the lexicographically ordered `level` has a row equal to
+// `items`: a binary search over its CSR item slices.
+bool HasRow(const PatternPool& level, std::span<const ItemId> items) {
+  const auto rows = std::views::iota(int64_t{0}, level.size());
+  const auto it = std::ranges::lower_bound(
+      rows, items, std::ranges::lexicographical_compare,
+      [&level](int64_t row) { return level.items(row); });
+  return it != rows.end() && std::ranges::equal(level.items(*it), items);
+}
 
-// The join+prune+count work for one left parent `a` of the current
-// level: appends the row's frequent candidates (in join order) to `out`
-// and counts expanded nodes on `stats`. Reads `level` only, so rows
-// shard across workers (each row with its own `out`/`stats`);
-// concatenating row outputs in row order reproduces the serial
-// enumeration exactly. Returns false iff the node budget tripped
-// mid-row, with budget_exceeded set on `stats` — checked per candidate,
-// like every miner's budget.
-bool JoinRow(const std::vector<LevelEntry>& level, size_t a,
-             const MinerOptions& options, std::vector<LevelEntry>& out,
-             MinerStats& stats) {
-  const Itemset& left = level[a].items;
-  for (size_t b = a + 1; b < level.size(); ++b) {
-    const Itemset& right = level[b].items;
-    bool same_prefix = true;
-    for (int i = 0; i < left.size() - 1; ++i) {
-      if (left[i] != right[i]) {
-        same_prefix = false;
-        break;
-      }
-    }
-    if (!same_prefix) break;  // sorted order: no later b can match
+// The count pass for left parent `a`: appends (right parent, support) of
+// each frequent candidate of row a, in join order, to `out`, and counts
+// expanded nodes on `stats`. Reads `level` only, so rows shard across
+// workers; row outputs concatenated in row order are the serial
+// enumeration. Returns false iff the node budget tripped mid-row, with
+// budget_exceeded set on `stats` — checked per candidate, like every
+// miner's budget.
+bool JoinRow(const PatternPool& level, int64_t a, const MinerOptions& options,
+             std::vector<std::pair<int64_t, int64_t>>& out, MinerStats& stats) {
+  const BitvectorKernels& kernels = ActiveBitvectorKernels();
+  const std::span<const ItemId> left = level.items(a);
+  const size_t prefix = left.size() - 1;
+  // The candidate is left ∪ {right.back()}; dropping either of its last
+  // two items leaves a join parent, and `subset` holds each other drop.
+  std::vector<ItemId> subset(left.size());
+  for (int64_t b = a + 1; b < level.size(); ++b) {
+    const std::span<const ItemId> right = level.items(b);
+    // Sorted order: no later b shares the prefix either.
+    if (!std::equal(left.begin(), left.begin() + prefix, right.begin())) break;
 
-    Itemset candidate = left.WithItem(right[right.size() - 1]);
-
-    // Prune step: every (size−1)-subset must be frequent. The two join
-    // parents are; check the others by binary search over the sorted
-    // level.
+    // Prune step: every (size−1)-subset must be frequent.
     bool all_subsets_frequent = true;
-    for (int drop = 0; drop < candidate.size() - 2; ++drop) {
-      const Itemset subset = candidate.WithoutItem(candidate[drop]);
-      const auto it = std::lower_bound(
-          level.begin(), level.end(), subset,
-          [](const LevelEntry& entry, const Itemset& target) {
-            return entry.items < target;
-          });
-      if (it == level.end() || !(it->items == subset)) {
+    for (size_t drop = 0; drop < prefix; ++drop) {
+      std::copy(left.begin(), left.begin() + drop, subset.begin());
+      std::copy(left.begin() + drop + 1, left.end(), subset.begin() + drop);
+      subset.back() = right.back();
+      if (!HasRow(level, subset)) {
         all_subsets_frequent = false;
         break;
       }
@@ -68,31 +63,100 @@ bool JoinRow(const std::vector<LevelEntry>& level, size_t a,
       stats.budget_exceeded = true;
       return false;
     }
-    // Popcount first; materialize the support set only for survivors.
-    const int64_t support =
-        Bitvector::AndCount(level[a].support_set, level[b].support_set);
-    if (support >= options.min_support_count) {
-      out.push_back({std::move(candidate),
-                     Bitvector::And(level[a].support_set,
-                                    level[b].support_set, options.arena),
-                     support});
-    }
+    const int64_t support = kernels.and_count_words(
+        level.row(a), level.row(b), level.words_per_row());
+    if (support >= options.min_support_count) out.push_back({b, support});
   }
   return true;
 }
 
+// Level 1: the allowed frequent items with their tidsets. Empty, with
+// budget_exceeded set on `stats`, when the node budget trips.
+PatternPool FirstLevel(const TransactionDatabase& db,
+                       const MinerOptions& options, MinerStats& stats) {
+  std::vector<ItemId> frequent;
+  for (ItemId item = 0; item < db.num_items(); ++item) {
+    // Constraint pushdown: a disallowed item is not a search node — it
+    // is skipped before the node counter, the popcount, and the tidset
+    // copy, so excluded vocabulary never reaches a level row.
+    if (!options.constraints.ItemAllowed(item)) continue;
+    ++stats.nodes_expanded;
+    if (options.max_nodes != 0 && stats.nodes_expanded > options.max_nodes) {
+      stats.budget_exceeded = true;
+      return PatternPool(db.num_transactions(), 0);
+    }
+    if (db.item_tidset(item).Count() >= options.min_support_count) {
+      frequent.push_back(item);
+    }
+  }
+  PatternPool level(db.num_transactions(),
+                    static_cast<int64_t>(frequent.size()), options.arena);
+  for (const ItemId& item : frequent) {
+    const Bitvector& tidset = db.item_tidset(item);
+    level.AppendRow({&item, 1}, tidset.words(), tidset.Count());
+  }
+  return level;
+}
+
+// Joins `level` into the next one, sized exactly by the count pass.
+// Empty, with budget_exceeded set on `stats`, when the node budget trips
+// (serial runs only).
+PatternPool NextLevel(const PatternPool& level, const MinerOptions& options,
+                      ThreadPool* workers, MinerStats& stats) {
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> survivors(
+      static_cast<size_t>(level.size()));
+  if (workers != nullptr) {
+    // No budget in this mode, so JoinRow cannot trip. Rows are joined
+    // into locals and stored once: workers take neighbouring rows, whose
+    // slots share cache lines.
+    std::vector<int64_t> row_nodes(static_cast<size_t>(level.size()));
+    workers->ParallelFor(level.size(), [&](int64_t a) {
+      std::vector<std::pair<int64_t, int64_t>> row;
+      MinerStats row_stats;
+      JoinRow(level, a, options, row, row_stats);
+      survivors[static_cast<size_t>(a)] = std::move(row);
+      row_nodes[static_cast<size_t>(a)] = row_stats.nodes_expanded;
+    });
+    for (int64_t nodes : row_nodes) stats.nodes_expanded += nodes;
+  } else {
+    for (int64_t a = 0; a < level.size(); ++a) {
+      if (!JoinRow(level, a, options, survivors[static_cast<size_t>(a)],
+                   stats)) {
+        return PatternPool(level.num_bits(), 0);
+      }
+    }
+  }
+
+  int64_t total = 0;
+  for (const auto& row : survivors) total += row.size();
+  const BitvectorKernels& kernels = ActiveBitvectorKernels();
+  const int64_t words = level.words_per_row();
+  PatternPool next(level.num_bits(), total, options.arena);
+  std::vector<ItemId> items;
+  for (int64_t a = 0; a < level.size(); ++a) {
+    const std::span<const ItemId> left = level.items(a);
+    for (const auto& [right, support] : survivors[static_cast<size_t>(a)]) {
+      items.assign(left.begin(), left.end());
+      items.push_back(level.items(right).back());
+      const int64_t row = next.AppendRow(items, level.row(a), support);
+      kernels.and_words(next.mutable_row(row), level.row(right), words);
+    }
+  }
+  return next;
+}
+
 }  // namespace
 
-StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
-                                   const MinerOptions& options) {
+StatusOr<MinerStats> MineAprioriLevels(
+    const TransactionDatabase& db, const MinerOptions& options,
+    const std::function<void(PatternPool level)>& visit) {
   Status valid = ValidateMinerOptions(db, options);
   if (!valid.ok()) return valid;
 
-  MiningResult result;
+  MinerStats stats;
   const int max_size = options.max_pattern_size == 0
                            ? static_cast<int>(db.num_items())
                            : options.max_pattern_size;
-
   // Budgeted runs stay serial: the truncation point depends on the exact
   // candidate visit order, which parallel row sharding does not preserve
   // mid-row.
@@ -103,76 +167,38 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
   // Spawned lazily, on the first level that actually has join work.
   std::unique_ptr<ThreadPool> workers;
 
-  // Level 1: frequent single items.
-  std::vector<LevelEntry> level;
-  for (ItemId item = 0; item < db.num_items(); ++item) {
-    // Constraint pushdown: a disallowed item is not a search node — it
-    // is skipped before the node counter, the popcount, and the tidset
-    // copy, so excluded vocabulary never materializes a Bitvector.
-    if (!options.constraints.ItemAllowed(item)) continue;
-    ++result.stats.nodes_expanded;
-    if (options.max_nodes != 0 &&
-        result.stats.nodes_expanded > options.max_nodes) {
-      result.stats.budget_exceeded = true;
-      return result;
-    }
-    const Bitvector& tidset = db.item_tidset(item);
-    const int64_t support = tidset.Count();
-    if (support >= options.min_support_count) {
-      level.push_back(
-          {Itemset::Single(item), Bitvector(tidset, options.arena), support});
-    }
-  }
-  if (max_size >= 1) {
-    for (const LevelEntry& entry : level) {
-      result.patterns.push_back({entry.items, entry.support});
-    }
-  }
-
-  // Join step: pairs sharing the first size−2 items. `level` is sorted
-  // lexicographically (construction order preserves this), so joinable
-  // partners are contiguous.
+  PatternPool level = FirstLevel(db, options, stats);
+  if (stats.budget_exceeded) return stats;
+  // Join step: pairs sharing the first size−2 items. Each level is
+  // sorted lexicographically (the join writes rows in that order), so
+  // joinable partners are contiguous.
   for (int size = 2; size <= max_size && level.size() >= 2; ++size) {
     if (num_threads > 1 && workers == nullptr) {
       workers = std::make_unique<ThreadPool>(num_threads);
     }
-    std::vector<LevelEntry> next_level;
-    if (workers != nullptr) {
-      // Sharded by row: each worker fills its rows' output slots; rows
-      // concatenate in order afterwards. No budget in this mode (see
-      // above), so JoinRow cannot trip.
-      std::vector<std::vector<LevelEntry>> rows(level.size());
-      std::vector<MinerStats> row_stats(level.size());
-      workers->ParallelFor(
-          static_cast<int64_t>(level.size()), [&](int64_t a) {
-            JoinRow(level, static_cast<size_t>(a), options,
-                    rows[static_cast<size_t>(a)],
-                    row_stats[static_cast<size_t>(a)]);
-          });
-      for (size_t a = 0; a < level.size(); ++a) {
-        result.stats.nodes_expanded += row_stats[a].nodes_expanded;
-        // Unreachable while budgeted runs force serial, but keeps the
-        // flag from being silently dropped if that coupling ever changes.
-        if (row_stats[a].budget_exceeded) {
-          result.stats.budget_exceeded = true;
-        }
-        for (LevelEntry& entry : rows[a]) {
-          next_level.push_back(std::move(entry));
-        }
-      }
-    } else {
-      for (size_t a = 0; a < level.size(); ++a) {
-        // JoinRow sets budget_exceeded on result.stats when it trips.
-        if (!JoinRow(level, a, options, next_level, result.stats)) {
-          return result;
-        }
-      }
-    }
-    for (const LevelEntry& entry : next_level) {
-      result.patterns.push_back({entry.items, entry.support});
-    }
-    level = std::move(next_level);
+    PatternPool next = NextLevel(level, options, workers.get(), stats);
+    visit(std::move(level));
+    if (stats.budget_exceeded) return stats;
+    level = std::move(next);
   }
+  visit(std::move(level));
+  return stats;
+}
+
+StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
+                                   const MinerOptions& options) {
+  MiningResult result;
+  StatusOr<MinerStats> stats =
+      MineAprioriLevels(db, options, [&result](PatternPool level) {
+        for (int64_t i = 0; i < level.size(); ++i) {
+          const std::span<const ItemId> items = level.items(i);
+          result.patterns.push_back(
+              {Itemset::FromSorted({items.begin(), items.end()}),
+               level.support(i)});
+        }
+      });
+  if (!stats.ok()) return stats.status();
+  result.stats = *stats;
   return result;
 }
 

@@ -66,13 +66,12 @@ struct MinerOptions {
   // serial so the truncation point stays deterministic.
   int num_threads = 0;
 
-  // Optional bump arena for mining temporaries (candidate support sets
-  // and tidset intersections in MineApriori/MineEclat; the other miners
-  // ignore it). The caller owns lifetime: the arena must outlive the
-  // call, and nothing in a MiningResult references it (results carry no
-  // Bitvectors). Purely a performance knob — output is byte-identical
-  // with or without it — and deliberately not part of any request
-  // canonicalization or cache key.
+  // Optional bump arena for mining temporaries: Apriori's level
+  // matrices (MineAprioriLevels hands each level to its caller) and
+  // Eclat's tidset intersections; the other miners ignore it. It must
+  // outlive the call and any level kept; a MiningResult never refers to
+  // it. Output is byte-identical with or without it, and it is part of
+  // no request canonicalization or cache key.
   Arena* arena = nullptr;
 };
 

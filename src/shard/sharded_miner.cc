@@ -5,17 +5,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/bitvector_kernels.h"
 #include "common/check.h"
-#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/pattern_pool.h"
 #include "data/snapshot_io.h"
@@ -25,21 +24,6 @@
 namespace colossal {
 
 namespace {
-
-// Support set of `items` within one shard, or an empty vector when an
-// item does not occur in the shard at all (its id is outside the
-// shard's dense domain — the global pattern simply has no rows there).
-Bitvector ShardSupportSet(const TransactionDatabase& shard,
-                          std::span<const ItemId> items, Arena* arena) {
-  for (ItemId item : items) {
-    if (item >= shard.num_items()) {
-      return Bitvector(shard.num_transactions(), arena);
-    }
-  }
-  Bitvector support(shard.num_transactions(), arena);
-  shard.WriteSupportSet(items, support.mutable_words());
-  return support;
-}
 
 // CAS-max a finished arena's high-water mark into the residency
 // options' stat sink (when one is wired).
@@ -298,22 +282,36 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     // vocabulary never materializes a per-shard Bitvector, exactly as in
     // the unsharded BuildInitialPool path.
     miner_options.constraints = canonical->constraints;
-    StatusOr<MiningResult> mined = MineApriori(*shard->db, miner_options);
-    if (!mined.ok()) return mined.status();
     std::vector<Itemset> mined_items;
-    mined_items.reserve(mined->patterns.size());
-    for (const FrequentItemset& pattern : mined->patterns) {
-      mined_items.push_back(pattern.items);
-    }
+    StatusOr<MinerStats> mined =
+        MineAprioriLevels(*shard->db, miner_options, [&](PatternPool level) {
+          for (int64_t i = 0; i < level.size(); ++i) {
+            const std::span<const ItemId> items = level.items(i);
+            mined_items.push_back(
+                Itemset::FromSorted({items.begin(), items.end()}));
+          }
+        });
+    if (!mined.ok()) return mined.status();
     RecordArenaPeak(residency_.arena_peak_bytes, shard_arena);
     return mined_items;
   };
-  std::unordered_set<Itemset, ItemsetHash, ItemsetEq> seen;
+  // The pool order is fixed before any support set exists: each shard
+  // emits (size, lexicographic) order, which a union merge keeps, so the
+  // exact pool is positionally identical to BuildInitialPatternPool's
+  // once phase 3 drops the infrequent rows in place.
+  const auto size_lex = [](const Itemset& a, const Itemset& b) {
+    return a.size() != b.size() ? a.size() < b.size() : a < b;
+  };
   std::vector<Itemset> candidates;
   auto merge_candidates = [&](std::vector<Itemset>& mined_items) {
-    for (Itemset& items : mined_items) {
-      if (seen.insert(items).second) candidates.push_back(std::move(items));
-    }
+    std::vector<Itemset> merged;
+    merged.reserve(candidates.size() + mined_items.size());
+    std::set_union(std::make_move_iterator(candidates.begin()),
+                   std::make_move_iterator(candidates.end()),
+                   std::make_move_iterator(mined_items.begin()),
+                   std::make_move_iterator(mined_items.end()),
+                   std::back_inserter(merged), size_lex);
+    candidates = std::move(merged);
     mined_items.clear();
   };
   if (fan_out > 1 && num_shards > 1) {
@@ -364,29 +362,16 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     }
   }
   pool_timer.Stop();
-  // The dedup set's itemset copies are not needed past phase 1.
-  std::unordered_set<Itemset, ItemsetHash, ItemsetEq>().swap(seen);
   if (candidates.empty()) {
     return Status::FailedPrecondition(
         "no frequent patterns at min_support_count " +
         std::to_string(min_support));
   }
 
-  // The stitch span (kStitch) covers the sort, the re-count pass and the
+  // The stitch span (kStitch) covers the re-count pass and the
   // compaction that rebuild the global pool (phases 2 and 3).
   PhaseTimer stitch_timer(residency_.trace, TracePhase::kStitch);
 
-  // The pool order is fixed before any support set exists: candidates
-  // arrive in first-appearance order across shards, and sorting them the
-  // way Apriori emits (size, then lexicographic) makes the exact pool
-  // positionally identical to BuildInitialPatternPool's once phase 3
-  // drops the infrequent rows in place. The itemsets are unique, so
-  // sorting before the filter yields the order sorting after it would.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Itemset& a, const Itemset& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a < b;
-            });
   // The pool, one zeroed row per candidate, is the only copy of the
   // candidates from here on; on the request arena, it flows straight
   // into fusion.
@@ -397,9 +382,9 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   // Phase 2 — re-count: stitch each candidate's per-shard support sets
   // into its row, the exact global support set. Shards are again
   // visited one at a time; rows shard across workers (each writes only
-  // its own row, so the result is thread-count invariant). The
-  // per-candidate local sets go to a scratch arena rewound after every
-  // shard, once its ParallelFor has joined.
+  // its own row, so the result is thread-count invariant), and each
+  // worker writes a candidate's shard-local set into one reused scratch
+  // row.
   const BitvectorKernels& kernels = ActiveBitvectorKernels();
   const int num_threads =
       ParallelPolicy{options.num_threads}.ResolvedThreads();
@@ -407,7 +392,6 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   if (num_threads > 1 && pool.size() > 1) {
     workers = std::make_unique<ThreadPool>(num_threads);
   }
-  Arena recount_scratch;
   for (size_t i = 0; i < manifest_.shards.size(); ++i) {
     StatusOr<LoadedShard> shard = LoadShard(i, estimates[i]);
     if (!shard.ok()) return shard.status();
@@ -419,15 +403,19 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     const int64_t local_words =
         Bitvector::WordsFor(shard_db.num_transactions());
     ParallelFor(workers.get(), pool.size(), [&](int64_t c) {
-      const Bitvector local =
-          ShardSupportSet(shard_db, pool.items(c), &recount_scratch);
-      kernels.or_shifted_words(pool.mutable_row(c), local.words(),
+      const std::span<const ItemId> items = pool.items(c);
+      // An item outside the shard's dense domain occurs in none of its
+      // rows: the candidate's shard-local set is empty, and ORing it
+      // changes nothing.
+      if (items.back() >= shard_db.num_items()) return;
+      thread_local std::vector<uint64_t> local;
+      local.resize(static_cast<size_t>(local_words));
+      shard_db.WriteSupportSet(items, local.data());
+      kernels.or_shifted_words(pool.mutable_row(c), local.data(),
                                local_words, offset / 64,
                                static_cast<int>(offset % 64));
     });
-    recount_scratch.Reset();
   }
-  RecordArenaPeak(residency_.arena_peak_bytes, recount_scratch);
 
   // Phase 3 — keep the globally frequent candidates, compacting the
   // matrix in place (the survivors keep their sorted order).

@@ -89,6 +89,69 @@ TEST(AprioriTest, BudgetStopsEarly) {
   EXPECT_TRUE(result->stats.budget_exceeded);
 }
 
+// Apriori's budget truncation, pinned at every max_nodes value from 1 to
+// one past the unbudgeted node count. A node is a candidate that passed
+// the prune step; the node that trips the budget is counted, and the
+// result holds exactly the levels completed before the trip, never part
+// of the level being joined. The per-level tables below were recorded
+// from the per-candidate implementation. Diag(12) never prunes (every
+// subset of a frequent-sized set is frequent); the random database
+// prunes 22 of 108 size-3 joins and 5 of 7 size-4 joins, so a miner
+// that counted a node before the prune step would shift its table.
+TEST(AprioriTest, BudgetTruncatesAtCompletedLevels) {
+  struct Case {
+    const char* name;
+    TransactionDatabase db;
+    int64_t min_support;
+    // After each level k: the nodes counted through level k, and the
+    // patterns emitted through level k.
+    std::vector<int64_t> cumulative_nodes;
+    std::vector<size_t> cumulative_patterns;
+  };
+  RandomDatabaseOptions random_options;
+  random_options.num_transactions = 40;
+  random_options.num_items = 12;
+  random_options.density = 0.45;
+  random_options.seed = 7;
+  const Case cases[] = {
+      {"diag12", MakeDiag(12), 9, {12, 78, 298, 793}, {12, 78, 298, 298}},
+      {"random", MakeRandomDatabase(random_options), 8, {12, 78, 164, 166},
+       {12, 59, 74, 74}},
+  };
+  for (const Case& test_case : cases) {
+    MinerOptions options;
+    options.min_support_count = test_case.min_support;
+    StatusOr<MiningResult> full = MineApriori(test_case.db, options);
+    ASSERT_TRUE(full.ok());
+    const int64_t full_nodes = test_case.cumulative_nodes.back();
+    ASSERT_EQ(full->stats.nodes_expanded, full_nodes) << test_case.name;
+    ASSERT_EQ(full->patterns.size(), test_case.cumulative_patterns.back())
+        << test_case.name;
+    for (int64_t max_nodes = 1; max_nodes <= full_nodes + 1; ++max_nodes) {
+      options.max_nodes = max_nodes;
+      StatusOr<MiningResult> result = MineApriori(test_case.db, options);
+      ASSERT_TRUE(result.ok());
+      const bool trips = max_nodes < full_nodes;
+      size_t expected_patterns = 0;
+      for (size_t k = 0; k < test_case.cumulative_nodes.size(); ++k) {
+        if (test_case.cumulative_nodes[k] <= max_nodes) {
+          expected_patterns = test_case.cumulative_patterns[k];
+        }
+      }
+      ASSERT_EQ(result->stats.budget_exceeded, trips)
+          << test_case.name << " max_nodes=" << max_nodes;
+      ASSERT_EQ(result->stats.nodes_expanded,
+                trips ? max_nodes + 1 : full_nodes)
+          << test_case.name << " max_nodes=" << max_nodes;
+      ASSERT_EQ(result->patterns.size(), expected_patterns)
+          << test_case.name << " max_nodes=" << max_nodes;
+      ASSERT_TRUE(std::equal(result->patterns.begin(), result->patterns.end(),
+                             full->patterns.begin()))
+          << test_case.name << " max_nodes=" << max_nodes;
+    }
+  }
+}
+
 // The three complete miners and the brute-force oracle must agree
 // exactly on randomized databases.
 struct CrossCheckCase {

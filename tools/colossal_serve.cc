@@ -516,16 +516,20 @@ int RunListen(const Args& args) {
   return 0;
 }
 
-// Serves every heap block of 1 MiB or more from its own mapping, which
+// Serves every heap block of 256 KiB or more from its own mapping, which
 // goes back to the kernel when the block is freed. Such blocks live for
-// one mine (Apriori level tables, request-arena chunks). glibc's
-// default instead raises its mmap threshold to the largest block freed
-// so far, after which those blocks come from the heap and strand pages
-// between long-lived cache entries: the resident set then depends on
-// the order requests ran in rather than on what the server holds.
+// one mine (level and pool columns, request-arena chunks, ball buffers).
+// glibc instead raises its mmap threshold to the largest block freed so
+// far, after which those blocks come from the heap and strand pages
+// between long-lived cache entries: the resident set then depends on the
+// order requests ran in rather than on what the server holds. Blocks of
+// 256 KiB to 1 MiB strand pages just the same, and with packed level and
+// pool rows most per-mine blocks on the microarray are that size.
+// Smaller blocks stay on the heap: mapped, a dataset load's read buffers
+// fault in page by page on every load.
 void PinLargeBlocksToMmap() {
 #if defined(__GLIBC__)
-  mallopt(M_MMAP_THRESHOLD, 1 << 20);
+  mallopt(M_MMAP_THRESHOLD, 256 << 10);
 #endif
 }
 
