@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/bitvector.h"
 #include "common/bitvector_kernels.h"
 #include "common/check.h"
@@ -345,39 +344,6 @@ void BM_KernelOrWithShifted(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelOrWithShifted)->Apply(KernelSizes);
 
-// --- Arena vs heap mine -----------------------------------------------------
-//
-// The whole pipeline with (Arg 1) and without (Arg 0) a request arena:
-// the delta is what replacing per-tidset heap allocations with bump
-// allocation buys end to end. Output is byte-identical either way (the
-// determinism tests hold the proof); arena_peak_kb reports the arena's
-// high-water mark.
-
-void BM_MineColossalArena(benchmark::State& state) {
-  const bool use_arena = state.range(0) != 0;
-  LabeledDatabase labeled = MakeMicroarrayLike(1);
-  ColossalMinerOptions options;
-  options.min_support_count = 30;
-  options.initial_pool_max_size = 2;
-  options.tau = 0.5;
-  options.k = 40;
-  options.seed = 19;
-  Arena arena;
-  for (auto _ : state) {
-    if (use_arena) {
-      arena.Reset();
-      benchmark::DoNotOptimize(MineColossal(labeled.db, options, &arena));
-    } else {
-      benchmark::DoNotOptimize(MineColossal(labeled.db, options));
-    }
-  }
-  if (use_arena) {
-    state.counters["arena_peak_kb"] =
-        static_cast<double>(arena.high_water_bytes()) / 1024.0;
-  }
-}
-BENCHMARK(BM_MineColossalArena)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 // --- Request modes ----------------------------------------------------------
 //
 // The two request-grammar modes end to end. Results are recorded in
@@ -397,17 +363,15 @@ void BM_TopKMine(benchmark::State& state) {
   options.k = 40;
   options.seed = 19;
   options.top_k = top_k;
-  Arena arena;
   for (auto _ : state) {
-    arena.Reset();
-    benchmark::DoNotOptimize(MineColossal(labeled.db, options, &arena));
+    benchmark::DoNotOptimize(MineColossal(labeled.db, options));
   }
 }
 BENCHMARK(BM_TopKMine)->Arg(0)->Arg(5)->Arg(20)->Unit(benchmark::kMillisecond);
 
 // Constraint pushdown: Arg is how many of the lowest item ids are
 // excluded. Excluded items are skipped before their Bitvectors are
-// materialized, so time and arena_peak_kb both fall as the exclude
+// materialized, so time and pool_patterns both fall as the exclude
 // list grows — the counter is the proof the skip happens in the pool
 // miner, not in a post-filter.
 void BM_ConstrainedMine(benchmark::State& state) {
@@ -422,13 +386,13 @@ void BM_ConstrainedMine(benchmark::State& state) {
   for (int i = 0; i < excluded; ++i) {
     options.constraints.exclude.push_back(static_cast<ItemId>(i));
   }
-  Arena arena;
+  int64_t pool_patterns = 0;
   for (auto _ : state) {
-    arena.Reset();
-    benchmark::DoNotOptimize(MineColossal(labeled.db, options, &arena));
+    StatusOr<ColossalMiningResult> result = MineColossal(labeled.db, options);
+    COLOSSAL_CHECK(result.ok()) << result.status().ToString();
+    pool_patterns = result->initial_pool_size;
   }
-  state.counters["arena_peak_kb"] =
-      static_cast<double>(arena.high_water_bytes()) / 1024.0;
+  state.counters["pool_patterns"] = static_cast<double>(pool_patterns);
 }
 BENCHMARK(BM_ConstrainedMine)
     ->Arg(0)

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <new>
 
-#include "common/arena.h"
 #include "common/bitvector_kernels.h"
 #include "common/byte_io.h"
 #include "common/check.h"
@@ -25,67 +24,49 @@ uint64_t TailMask(int64_t num_bits) {
   return tail == 0 ? ~uint64_t{0} : (uint64_t{1} << tail) - 1;
 }
 
-// One word buffer, 64-byte aligned, from the arena when given, else the
-// heap. Contents uninitialized.
-uint64_t* AllocateWords(int64_t num_words, Arena* arena) {
+constexpr std::align_val_t kWordAlignment{64};
+}  // namespace
+
+uint64_t* AllocateWords(int64_t num_words) {
   if (num_words == 0) return nullptr;
-  const int64_t bytes = num_words * int64_t{sizeof(uint64_t)};
-  if (arena != nullptr) {
-    return static_cast<uint64_t*>(arena->Allocate(bytes));
-  }
   return static_cast<uint64_t*>(::operator new(
-      static_cast<size_t>(bytes), std::align_val_t{Arena::kAlignment}));
+      static_cast<size_t>(num_words) * sizeof(uint64_t), kWordAlignment));
 }
 
-void FreeWords(uint64_t* words, Arena* arena) {
-  // Arena storage is reclaimed wholesale by Arena::Reset.
-  if (words != nullptr && arena == nullptr) {
-    ::operator delete(words, std::align_val_t{Arena::kAlignment});
-  }
+void FreeWords(uint64_t* words) {
+  if (words != nullptr) ::operator delete(words, kWordAlignment);
 }
-}  // namespace
 
 int64_t Bitvector::num_words() const { return WordCount(num_bits_); }
 
-Bitvector::Bitvector(int64_t num_bits, bool value)
-    : Bitvector(num_bits, nullptr, value) {}
-
-Bitvector::Bitvector(int64_t num_bits, Arena* arena, bool value)
-    : num_bits_(num_bits), arena_(arena) {
+Bitvector::Bitvector(int64_t num_bits, bool value) : num_bits_(num_bits) {
   COLOSSAL_CHECK(num_bits >= 0);
   const int64_t n = WordCount(num_bits);
-  words_ = AllocateWords(n, arena);
+  words_ = AllocateWords(n);
   if (n > 0) {
     std::memset(words_, value ? 0xff : 0, static_cast<size_t>(n) * 8);
   }
   if (value) ClearTrailingBits();
 }
 
-Bitvector::Bitvector(const Bitvector& other)
-    : Bitvector(other, nullptr) {}
-
-Bitvector::Bitvector(const Bitvector& other, Arena* arena)
-    : num_bits_(other.num_bits_), arena_(arena) {
+Bitvector::Bitvector(const Bitvector& other) : num_bits_(other.num_bits_) {
   const int64_t n = num_words();
-  words_ = AllocateWords(n, arena);
+  words_ = AllocateWords(n);
   if (n > 0) std::memcpy(words_, other.words_, static_cast<size_t>(n) * 8);
 }
 
 Bitvector::Bitvector(Bitvector&& other) noexcept
-    : words_(other.words_), num_bits_(other.num_bits_), arena_(other.arena_) {
+    : words_(other.words_), num_bits_(other.num_bits_) {
   other.words_ = nullptr;
   other.num_bits_ = 0;
-  other.arena_ = nullptr;
 }
 
 Bitvector& Bitvector::operator=(const Bitvector& other) {
   if (this == &other) return *this;
   const int64_t n = WordCount(other.num_bits_);
   if (n != num_words()) {
-    // Reallocate on this vector's own backing (assignment changes the
-    // contents, never where they live).
-    FreeWords(words_, arena_);
-    words_ = AllocateWords(n, arena_);
+    FreeWords(words_);
+    words_ = AllocateWords(n);
   }
   num_bits_ = other.num_bits_;
   if (n > 0) std::memcpy(words_, other.words_, static_cast<size_t>(n) * 8);
@@ -94,26 +75,15 @@ Bitvector& Bitvector::operator=(const Bitvector& other) {
 
 Bitvector& Bitvector::operator=(Bitvector&& other) noexcept {
   if (this == &other) return *this;
-  FreeWords(words_, arena_);
+  FreeWords(words_);
   words_ = other.words_;
   num_bits_ = other.num_bits_;
-  arena_ = other.arena_;
   other.words_ = nullptr;
   other.num_bits_ = 0;
-  other.arena_ = nullptr;
   return *this;
 }
 
-Bitvector::~Bitvector() { FreeWords(words_, arena_); }
-
-void Bitvector::DetachFromArena() {
-  if (arena_ == nullptr) return;
-  const int64_t n = num_words();
-  uint64_t* heap_words = AllocateWords(n, nullptr);
-  if (n > 0) std::memcpy(heap_words, words_, static_cast<size_t>(n) * 8);
-  words_ = heap_words;
-  arena_ = nullptr;
-}
+Bitvector::~Bitvector() { FreeWords(words_); }
 
 Bitvector Bitvector::FromIndices(int64_t num_bits,
                                  const std::vector<int64_t>& indices) {
@@ -154,9 +124,8 @@ void Bitvector::OrWithShifted(const Bitvector& other, int64_t offset) {
       static_cast<int>(offset % kWordBits));
 }
 
-Bitvector Bitvector::And(const Bitvector& a, const Bitvector& b,
-                         Arena* arena) {
-  Bitvector result(a, arena);
+Bitvector Bitvector::And(const Bitvector& a, const Bitvector& b) {
+  Bitvector result(a);
   result.AndWith(b);
   return result;
 }

@@ -9,8 +9,6 @@
 
 namespace colossal {
 
-class Arena;
-
 // A fixed-length packed bit vector used to represent transaction-id sets
 // (tidsets / "support sets" in the paper). All set-algebra kernels are
 // word-parallel and routed through the runtime-dispatched backend table
@@ -19,36 +17,16 @@ class Arena;
 // support set is at most 69 words, so intersections and popcounts — the
 // inner loop of Pattern-Fusion's ball queries — are a few dozen ns.
 //
-// Storage is a single 64-byte-aligned word buffer, either heap-owned or
-// carved from an Arena (common/arena.h). Arena backing is an opt-in for
-// mining temporaries whose lifetime the arena's owner controls:
-//  - only the explicit arena constructors produce arena-backed vectors;
-//  - moves keep whatever backing the source had;
-//  - the plain copy constructor/assignment always produce a HEAP-backed
-//    copy, so a value copied out of a mine (result patterns, caches)
-//    never dangles when the mine's arena resets;
-//  - DetachFromArena() re-homes storage onto the heap in place, which
-//    the mining pipeline applies to anything that outlives the request.
+// Storage is a single 64-byte-aligned heap word buffer (AllocateWords).
 class Bitvector {
  public:
   // Constructs an empty (zero-length) vector.
   Bitvector() = default;
 
-  // Constructs `num_bits` bits, all cleared (or all set when `value`),
-  // heap-backed.
+  // Constructs `num_bits` bits, all cleared (or all set when `value`).
   explicit Bitvector(int64_t num_bits, bool value = false);
 
-  // Same, with the word buffer carved from `arena` (heap when arena is
-  // null). The vector must not be used after the arena resets.
-  Bitvector(int64_t num_bits, Arena* arena, bool value = false);
-
-  // Deep copy; heap-backed regardless of other's backing.
   Bitvector(const Bitvector& other);
-
-  // Deep copy with the word buffer carved from `arena` (heap when arena
-  // is null).
-  Bitvector(const Bitvector& other, Arena* arena);
-
   Bitvector(Bitvector&& other) noexcept;
   Bitvector& operator=(const Bitvector& other);
   Bitvector& operator=(Bitvector&& other) noexcept;
@@ -74,13 +52,6 @@ class Bitvector {
   const uint64_t* words() const { return words_; }
   uint64_t* mutable_words() { return words_; }
 
-  // True iff the word buffer lives in an Arena (and so dies with it).
-  bool arena_backed() const { return arena_ != nullptr; }
-
-  // If arena-backed, copies the words onto the heap in place; no-op
-  // otherwise. Call before a vector escapes its arena's lifetime.
-  void DetachFromArena();
-
   void Set(int64_t bit);
   void Reset(int64_t bit);
   bool Test(int64_t bit) const;
@@ -98,9 +69,8 @@ class Bitvector {
   // fit within size_bits().
   void OrWithShifted(const Bitvector& other, int64_t offset);
 
-  // Out-of-place intersection, backed by `arena` (heap when null).
-  static Bitvector And(const Bitvector& a, const Bitvector& b,
-                       Arena* arena = nullptr);
+  // Out-of-place intersection.
+  static Bitvector And(const Bitvector& a, const Bitvector& b);
 
   // |a ∩ b| / |a ∪ b| popcounts without materializing the result.
   static int64_t AndCount(const Bitvector& a, const Bitvector& b);
@@ -124,9 +94,7 @@ class Bitvector {
   // little-endian int64, then the packed words little-endian. The
   // encoding is platform-independent and self-delimiting (the length
   // determines the word count), which is what the dataset snapshot
-  // format needs to concatenate one tidset per item. Backing does not
-  // change the bytes: arena- and heap-backed vectors serialize
-  // identically.
+  // format needs to concatenate one tidset per item.
   void AppendTo(std::string* out) const;
 
   // Number of bytes AppendTo writes for a vector of `num_bits` bits.
@@ -134,8 +102,7 @@ class Bitvector {
 
   // Parses one encoded vector from `data` starting at *pos and advances
   // *pos past it. Fails on truncated input, a negative length, or set
-  // bits beyond the declared length (corrupt padding). The result is
-  // heap-backed.
+  // bits beyond the declared length (corrupt padding).
   static StatusOr<Bitvector> ParseFrom(const std::string& data, size_t* pos);
 
   friend bool operator==(const Bitvector& a, const Bitvector& b);
@@ -149,8 +116,13 @@ class Bitvector {
 
   uint64_t* words_ = nullptr;
   int64_t num_bits_ = 0;
-  Arena* arena_ = nullptr;  // null ⇒ words_ is heap-owned
 };
+
+// A heap buffer of `num_words` words aligned to one 64-byte cache line
+// (contents uninitialized; null for 0 words), released by FreeWords.
+// Bitvector and PatternPool keep their support sets in these.
+uint64_t* AllocateWords(int64_t num_words);
+void FreeWords(uint64_t* words);
 
 }  // namespace colossal
 

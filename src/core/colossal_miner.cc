@@ -44,21 +44,19 @@ StatusOr<ColossalMinerOptions> CanonicalizeMinerOptions(
 
 StatusOr<ColossalMiningResult> FuseColossalFromPool(
     int64_t num_transactions, std::vector<Pattern> initial_pool,
-    const ColossalMinerOptions& options, Arena* arena) {
+    const ColossalMinerOptions& options) {
   StatusOr<PatternPool> pool =
-      PatternPool::FromPatterns(num_transactions, initial_pool, arena);
+      PatternPool::FromPatterns(num_transactions, initial_pool);
   if (!pool.ok()) return pool.status();
   // The rows now live in the pool; free the patterns before fusing.
   std::vector<Pattern>().swap(initial_pool);
-  return FuseColossalFromPool(num_transactions, std::move(*pool), options,
-                              arena);
+  return FuseColossalFromPool(num_transactions, std::move(*pool), options);
 }
 
 StatusOr<ColossalMiningResult> FuseColossalFromPool(
     int64_t num_transactions, PatternPool initial_pool,
-    const ColossalMinerOptions& options, Arena* arena) {
+    const ColossalMinerOptions& options) {
   PatternFusionOptions fusion_options;
-  fusion_options.arena = arena;
   fusion_options.min_support_count = options.min_support_count;
   fusion_options.tau = options.tau;
   fusion_options.k = options.top_k > 0 ? options.top_k : options.k;
@@ -81,8 +79,7 @@ StatusOr<ColossalMiningResult> FuseColossalFromPool(
   // Result shaping: min_len filters the sorted (size-descending)
   // answer — small patterns had to stay in the pool as fusion building
   // blocks, so this is the one constraint applied after the fact — and
-  // top-k keeps the k largest under the same order. Both run before
-  // the detach loop so dropped patterns never cost a heap copy check.
+  // top-k keeps the k largest under the same order.
   if (options.constraints.min_len > 1) {
     while (!result.patterns.empty() &&
            result.patterns.back().size() < options.constraints.min_len) {
@@ -93,12 +90,6 @@ StatusOr<ColossalMiningResult> FuseColossalFromPool(
       result.patterns.size() > static_cast<size_t>(options.top_k)) {
     result.patterns.resize(static_cast<size_t>(options.top_k));
   }
-  // The fusion engine already copies its answer onto the heap; this
-  // detach is the belt-and-suspenders guarantee that nothing escaping
-  // into results (or the service's result cache) references `arena`.
-  for (Pattern& pattern : result.patterns) {
-    pattern.support_set.DetachFromArena();
-  }
   result.iterations = static_cast<int>(fusion->iterations.size());
   result.converged = fusion->converged;
   result.iteration_stats = std::move(fusion->iterations);
@@ -107,7 +98,7 @@ StatusOr<ColossalMiningResult> FuseColossalFromPool(
 
 StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
                                             const ColossalMinerOptions& options,
-                                            Arena* arena, RequestTrace* trace) {
+                                            RequestTrace* trace) {
   StatusOr<ColossalMinerOptions> canonical =
       CanonicalizeMinerOptions(db, options);
   if (!canonical.ok()) return canonical.status();
@@ -115,7 +106,7 @@ StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
   PhaseTimer pool_timer(trace, TracePhase::kPoolMine);
   StatusOr<PatternPool> pool = BuildInitialPatternPool(
       db, canonical->min_support_count, canonical->initial_pool_max_size,
-      options.num_threads, arena, canonical->constraints);
+      options.num_threads, canonical->constraints);
   pool_timer.Stop();
   if (!pool.ok()) return pool.status();
 
@@ -124,8 +115,7 @@ StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
   ColossalMinerOptions exec = *canonical;
   exec.num_threads = options.num_threads;
   PhaseTimer fusion_timer(trace, TracePhase::kFusion);
-  return FuseColossalFromPool(db.num_transactions(), std::move(*pool), exec,
-                              arena);
+  return FuseColossalFromPool(db.num_transactions(), std::move(*pool), exec);
 }
 
 }  // namespace colossal

@@ -140,18 +140,15 @@ struct ColossalMiningResult {
 // goes through. Execution takes num_threads from `options` as given;
 // everything else from its canonical form.
 //
-// `arena`, when given, backs every mining temporary (initial-pool
-// support sets, fusion scratch) so the whole mine frees in one
-// Arena::Reset. `trace`, when given, accumulates the initial-pool build
-// into kPoolMine and the fusion loop into kFusion. Both are defaulted
-// parameters — NOT ColossalMinerOptions fields — because those options
+// `trace`, when given, accumulates the initial-pool build into
+// kPoolMine and the fusion loop into kFusion. It is a defaulted
+// parameter — NOT a ColossalMinerOptions field — because those options
 // are hashed, compared, and canonicalized as cache keys, and an
-// execution-scoped pointer must never leak into request identity. The
-// returned patterns are always heap-backed; output is byte-identical
-// with or without an arena or a trace.
+// execution-scoped pointer must never leak into request identity.
+// Output is byte-identical with or without a trace.
 StatusOr<ColossalMiningResult> MineColossal(
     const TransactionDatabase& db, const ColossalMinerOptions& options,
-    Arena* arena = nullptr, RequestTrace* trace = nullptr);
+    RequestTrace* trace = nullptr);
 
 // The fusion half of MineColossal, split out so callers that build the
 // initial pool some other way — notably the sharded miner, which
@@ -159,19 +156,16 @@ StatusOr<ColossalMiningResult> MineColossal(
 // pipeline from that point on. `options` must already carry an absolute
 // min_support_count (sigma resolved; options.sigma ignored), and the
 // pool rows must span `num_transactions` bits. The pool is consumed:
-// fusion replaces it with each iteration's next pool. `arena` backs
-// fusion scratch exactly as in MineColossal; the pool may itself be
-// arena-backed. Result patterns are detached onto the heap before
-// returning, so they survive any later Arena::Reset.
+// fusion replaces it with each iteration's next pool.
 StatusOr<ColossalMiningResult> FuseColossalFromPool(
     int64_t num_transactions, PatternPool initial_pool,
-    const ColossalMinerOptions& options, Arena* arena = nullptr);
+    const ColossalMinerOptions& options);
 
 // Adapter for callers holding patterns: copies them into a pool
 // (dropping repeated itemsets, first writer wins) and fuses it.
 StatusOr<ColossalMiningResult> FuseColossalFromPool(
     int64_t num_transactions, std::vector<Pattern> initial_pool,
-    const ColossalMinerOptions& options, Arena* arena = nullptr);
+    const ColossalMinerOptions& options);
 
 }  // namespace colossal
 

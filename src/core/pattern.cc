@@ -4,10 +4,9 @@
 
 namespace colossal {
 
-Pattern MakePattern(const TransactionDatabase& db, Itemset items,
-                    Arena* arena) {
+Pattern MakePattern(const TransactionDatabase& db, Itemset items) {
   Pattern pattern;
-  pattern.support_set = db.SupportSet(items, arena);
+  pattern.support_set = db.SupportSet(items);
   pattern.support = pattern.support_set.Count();
   pattern.items = std::move(items);
   return pattern;

@@ -30,10 +30,7 @@ struct Pattern {
 };
 
 // Builds a Pattern by computing the support set of `items` against `db`.
-// With an arena, the support set is arena-backed (mining temporaries
-// only — the pattern must not outlive the arena).
-Pattern MakePattern(const TransactionDatabase& db, Itemset items,
-                    Arena* arena = nullptr);
+Pattern MakePattern(const TransactionDatabase& db, Itemset items);
 
 // Drops the support sets again (for reporting through MiningResult-shaped
 // interfaces).

@@ -126,12 +126,12 @@ constexpr int64_t kCountFirstMaxWords = 2;
 FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
                        const std::vector<int64_t>& ball_order,
                        int64_t seed_index, int64_t min_support_count,
-                       double tau, int max_merges, Arena* arena,
+                       double tau, int max_merges, std::nullptr_t,
                        int max_items) {
   const Pattern& seed = pool[static_cast<size_t>(seed_index)];
   FusionOutcome outcome;
   outcome.fused.items = seed.items;
-  outcome.fused.support_set = Bitvector(seed.support_set, arena);
+  outcome.fused.support_set = seed.support_set;
   outcome.fused.support = seed.support;
   outcome.merged_count = 1;
 
@@ -180,15 +180,14 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
 FusionOutcome FuseOnce(const PatternPool& pool,
                        const std::vector<int64_t>& ball_order,
                        int64_t seed_index, int64_t min_support_count,
-                       double tau, int max_merges, Arena* arena,
-                       int max_items) {
+                       double tau, int max_merges, int max_items) {
   const BitvectorKernels& kernels = ActiveBitvectorKernels();
   const int64_t words = pool.words_per_row();
   const bool count_first = words <= kCountFirstMaxWords;
   const std::span<const ItemId> seed_items = pool.items(seed_index);
 
   FusionOutcome outcome;
-  outcome.fused.support_set = Bitvector(pool.num_bits(), arena);
+  outcome.fused.support_set = Bitvector(pool.num_bits());
   uint64_t* fused_words = outcome.fused.support_set.mutable_words();
   if (words > 0) {
     std::memcpy(fused_words, pool.row(seed_index),
@@ -297,7 +296,7 @@ std::vector<FusionCandidate> FusionEngine::ProcessSeed(
     FusionOutcome outcome =
         FuseOnce(pool, ball, seed_index,
                  options_.min_support_count, options_.tau, max_merges,
-                 options_.arena, options_.max_pattern_items);
+                 options_.max_pattern_items);
     bool duplicate = false;
     for (FusionCandidate& existing : candidates) {
       if (existing.pattern.items == outcome.fused.items) {
@@ -317,8 +316,8 @@ std::vector<FusionCandidate> FusionEngine::ProcessSeed(
 
 StatusOr<PatternFusionResult> FusionEngine::Run(
     std::vector<Pattern> initial_pool) {
-  StatusOr<PatternPool> pool = PatternPool::FromPatterns(
-      num_transactions_, initial_pool, options_.arena);
+  StatusOr<PatternPool> pool =
+      PatternPool::FromPatterns(num_transactions_, initial_pool);
   if (!pool.ok()) return pool.status();
   // The rows now live in the pool; free the patterns before fusing.
   std::vector<Pattern>().swap(initial_pool);
@@ -353,7 +352,7 @@ StatusOr<PatternFusionResult> FusionEngine::Run(PatternPool pool) {
   }
 
   const double radius = BallRadius(options_.tau);
-  const int num_threads = ParallelPolicy{options_.num_threads}.ResolvedThreads();
+  const int num_threads = ResolveNumThreads(options_.num_threads);
   // Spawned lazily, on the first iteration that has seeds to shard — an
   // already-converged run never pays the thread spawn.
   std::unique_ptr<ThreadPool> workers;
@@ -398,7 +397,7 @@ StatusOr<PatternFusionResult> FusionEngine::Run(PatternPool pool) {
     for (const std::vector<FusionCandidate>& candidates : per_seed) {
       num_candidates += static_cast<int64_t>(candidates.size());
     }
-    PatternPool next_pool(num_transactions_, num_candidates, options_.arena);
+    PatternPool next_pool(num_transactions_, num_candidates);
     for (const std::vector<FusionCandidate>& candidates : per_seed) {
       for (const FusionCandidate& candidate : candidates) {
         next_pool.Add(candidate.pattern);
@@ -417,9 +416,7 @@ StatusOr<PatternFusionResult> FusionEngine::Run(PatternPool pool) {
   }
   if (pool.size() <= options_.k) result.converged = true;
 
-  // Copies the final pool out through ToPattern, which always
-  // heap-allocates, so the returned patterns are independent of any
-  // options_.arena backing the intra-run pool used.
+  // Copies the final pool out, largest patterns first.
   std::vector<int64_t> order(static_cast<size_t>(pool.size()));
   std::iota(order.begin(), order.end(), int64_t{0});
   std::sort(order.begin(), order.end(), [&pool](int64_t a, int64_t b) {
@@ -445,7 +442,7 @@ StatusOr<PatternFusionResult> RunPatternFusion(
 
 StatusOr<PatternPool> BuildInitialPatternPool(
     const TransactionDatabase& db, int64_t min_support_count,
-    int max_pattern_size, int num_threads, Arena* arena,
+    int max_pattern_size, int num_threads,
     const MiningConstraints& constraints) {
   if (max_pattern_size < 1) {
     return Status::InvalidArgument("max_pattern_size must be >= 1");
@@ -454,7 +451,6 @@ StatusOr<PatternPool> BuildInitialPatternPool(
   miner_options.min_support_count = min_support_count;
   miner_options.max_pattern_size = max_pattern_size;
   miner_options.num_threads = num_threads;
-  miner_options.arena = arena;
   miner_options.constraints = constraints;
   std::vector<PatternPool> levels;
   int64_t total = 0;
@@ -474,7 +470,7 @@ StatusOr<PatternPool> BuildInitialPatternPool(
   // the sharded miner's phase 3 sorts its stitched candidates into this
   // same order, which is what makes its pool positionally identical to
   // this one. Every support set is carried over from its level row.
-  PatternPool pool(db.num_transactions(), total, arena);
+  PatternPool pool(db.num_transactions(), total);
   for (const PatternPool& level : levels) {
     for (int64_t i = 0; i < level.size(); ++i) {
       pool.AppendRow(level.items(i), level.row(i), level.support(i));
@@ -485,11 +481,10 @@ StatusOr<PatternPool> BuildInitialPatternPool(
 
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
-    int max_pattern_size, PoolMiner /*miner*/, int num_threads, Arena* arena,
-    const MiningConstraints& constraints) {
-  StatusOr<PatternPool> pool =
-      BuildInitialPatternPool(db, min_support_count, max_pattern_size,
-                              num_threads, arena, constraints);
+    int max_pattern_size, PoolMiner /*miner*/, int num_threads,
+    std::nullptr_t, const MiningConstraints& constraints) {
+  StatusOr<PatternPool> pool = BuildInitialPatternPool(
+      db, min_support_count, max_pattern_size, num_threads, constraints);
   if (!pool.ok()) return pool.status();
   std::vector<Pattern> patterns;
   patterns.reserve(static_cast<size_t>(pool->size()));

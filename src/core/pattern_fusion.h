@@ -1,6 +1,7 @@
 #ifndef COLOSSAL_CORE_PATTERN_FUSION_H_
 #define COLOSSAL_CORE_PATTERN_FUSION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -83,14 +84,6 @@ struct PatternFusionOptions {
   // result is bit-identical for every value, including 1: randomness is
   // derived per seed slot, and candidates merge in slot order.
   int num_threads = 0;
-
-  // Optional bump arena for the engine's intra-run support sets (fused
-  // candidates and the evolving pool). The arena must outlive the Run
-  // call; the returned PatternFusionResult is always heap-backed (the
-  // final pool is copied out, and copies detach by construction), so
-  // results never dangle when the arena resets. Purely a performance
-  // knob — output is byte-identical with or without it.
-  Arena* arena = nullptr;
 };
 
 // Pool trajectory of one fusion iteration, for benches/tests (e.g.,
@@ -179,7 +172,9 @@ StatusOr<PatternFusionResult> RunPatternFusion(
 // Apriori's level-wise emission order already is the pool order. The
 // enum, ColossalMinerOptions::pool_miner and BuildInitialPool's `miner`
 // parameter remain as single-valued placeholders (like ShardMergeMode)
-// only because the perfbench harness still names them.
+// only because the perfbench harness still names them; so do the
+// unused std::nullptr_t parameters of BuildInitialPool and the vector
+// FuseOnce, which the harness passes a positional nullptr.
 enum class PoolMiner {
   kApriori,
 };
@@ -188,9 +183,6 @@ enum class PoolMiner {
 // frequent patterns of size ≤ max_pattern_size, with support sets
 // materialized, in (size, lexicographic) order. `num_threads` (0 = auto)
 // parallelizes the underlying miner; the pool is identical for any value.
-// With an arena, the pool's support sets are arena-backed (the pool
-// must then not outlive the arena; fusion copies its answer out, so
-// this is safe for the MineColossal pipeline).
 // `constraints` (assumed canonical) is forwarded into the miner: items
 // outside the vocabulary are skipped before their tidsets are counted
 // or materialized, so a constrained pool costs strictly less than
@@ -199,20 +191,19 @@ enum class PoolMiner {
 // min_len must not prune the pool (small patterns are fusion's
 // building blocks).
 // The pool is Apriori's level store (MineAprioriLevels) copied, level
-// by level, into one exactly sized matrix (arena-backed when `arena` is
-// given): every support set is carried over from its level row, never
-// re-derived from the vertical index.
+// by level, into one exactly sized matrix: every support set is carried
+// over from its level row, never re-derived from the vertical index.
 StatusOr<PatternPool> BuildInitialPatternPool(
     const TransactionDatabase& db, int64_t min_support_count,
-    int max_pattern_size, int num_threads = 0, Arena* arena = nullptr,
+    int max_pattern_size, int num_threads = 0,
     const MiningConstraints& constraints = MiningConstraints());
 
-// The same pool as heap-backed patterns, for callers that hold
-// std::vector<Pattern>. `miner` must be kApriori.
+// The same pool as patterns, for callers that hold std::vector<Pattern>.
+// `miner` must be kApriori; the std::nullptr_t parameter is unused.
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
     int max_pattern_size, PoolMiner miner = PoolMiner::kApriori,
-    int num_threads = 0, Arena* arena = nullptr,
+    int num_threads = 0, std::nullptr_t = nullptr,
     const MiningConstraints& constraints = MiningConstraints());
 
 // One fusion of a seed with its CoreList (the Fusion(α.CoreList) routine
@@ -231,12 +222,12 @@ struct FusionOutcome {
   Pattern fused;
   int merged_count = 0;
 };
-// With an arena, the fused pattern's support set is arena-backed.
+// The std::nullptr_t parameter is unused.
 FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
                        const std::vector<int64_t>& ball_order,
                        int64_t seed_index, int64_t min_support_count,
                        double tau, int max_merges = 0,
-                       Arena* arena = nullptr, int max_items = 0);
+                       std::nullptr_t = nullptr, int max_items = 0);
 
 // The same fusion over a columnar pool — the one the engine runs. Each
 // member costs at most one and_count_words call on raw rows. The
@@ -250,8 +241,7 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
 FusionOutcome FuseOnce(const PatternPool& pool,
                        const std::vector<int64_t>& ball_order,
                        int64_t seed_index, int64_t min_support_count,
-                       double tau, int max_merges = 0,
-                       Arena* arena = nullptr, int max_items = 0);
+                       double tau, int max_merges = 0, int max_items = 0);
 
 }  // namespace colossal
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <new>
 #include <string>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/hash.h"
 
@@ -31,34 +29,21 @@ bool SameItems(std::span<const ItemId> a, std::span<const ItemId> b) {
 
 }  // namespace
 
-void PoolMatrixDeleter::operator()(uint64_t* words) const {
-  // Arena storage is reclaimed wholesale by Arena::Reset.
-  if (heap) ::operator delete(words, std::align_val_t{Arena::kAlignment});
-}
-
-PatternPool::PatternPool(int64_t num_bits, int64_t capacity, Arena* arena)
+PatternPool::PatternPool(int64_t num_bits, int64_t capacity)
     : num_bits_(num_bits),
       words_(Bitvector::WordsFor(num_bits)),
       capacity_(capacity) {
   COLOSSAL_CHECK(num_bits >= 0 && capacity >= 0)
       << "num_bits=" << num_bits << " capacity=" << capacity;
-  const int64_t bytes = capacity * words_ * int64_t{sizeof(uint64_t)};
-  if (bytes > 0) {
-    void* storage = arena != nullptr
-                        ? arena->Allocate(bytes)
-                        : ::operator new(static_cast<size_t>(bytes),
-                                         std::align_val_t{Arena::kAlignment});
-    matrix_ = std::unique_ptr<uint64_t[], PoolMatrixDeleter>(
-        static_cast<uint64_t*>(storage), PoolMatrixDeleter{arena == nullptr});
-  }
+  matrix_.reset(AllocateWords(capacity * words_));
   supports_.reserve(static_cast<size_t>(capacity));
   offsets_.reserve(static_cast<size_t>(capacity) + 1);
   offsets_.push_back(0);
 }
 
 StatusOr<PatternPool> PatternPool::FromPatterns(
-    int64_t num_bits, const std::vector<Pattern>& patterns, Arena* arena) {
-  PatternPool pool(num_bits, static_cast<int64_t>(patterns.size()), arena);
+    int64_t num_bits, const std::vector<Pattern>& patterns) {
+  PatternPool pool(num_bits, static_cast<int64_t>(patterns.size()));
   for (const Pattern& pattern : patterns) {
     if (pattern.support_set.size_bits() != num_bits) {
       return Status::InvalidArgument(

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bitvector.h"
 #include "common/itemset.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -13,13 +14,8 @@
 
 namespace colossal {
 
-class Arena;
-
-// Frees a PatternPool matrix: heap matrices are freed here, arena ones
-// with their arena.
 struct PoolMatrixDeleter {
-  bool heap = true;
-  void operator()(uint64_t* words) const;
+  void operator()(uint64_t* words) const { FreeWords(words); }
 };
 
 // The candidate pool Pattern-Fusion pushes down the search tree: a set of
@@ -37,16 +33,14 @@ struct PoolMatrixDeleter {
 // A row costs 8·words_per_row() + 16 bytes plus 4 per item.
 //
 // Capacity is fixed at construction — every pool is sized exactly when
-// it is built — and the matrix is carved from `arena` when one is given
-// (the pool must then not outlive the arena). A pool is built one of two
-// ways, never both: by Add, which deduplicates by itemset (first writer
+// it is built. A pool is built one of two ways, never both: by Add, which deduplicates by itemset (first writer
 // wins) through an open-addressing index of row ids that hashes each
 // row's CSR slice in place; or in place by AppendRow, whose caller
 // guarantees unique itemsets and which never builds the index.
 class PatternPool {
  public:
   // An empty pool for `capacity` rows of `num_bits` bits each.
-  PatternPool(int64_t num_bits, int64_t capacity, Arena* arena = nullptr);
+  PatternPool(int64_t num_bits, int64_t capacity);
 
   PatternPool(PatternPool&&) noexcept = default;
   PatternPool& operator=(PatternPool&&) noexcept = default;
@@ -57,8 +51,7 @@ class PatternPool {
   // dropping repeated itemsets (first writer wins). Fails when a
   // pattern's support set is not `num_bits` wide.
   static StatusOr<PatternPool> FromPatterns(
-      int64_t num_bits, const std::vector<Pattern>& patterns,
-      Arena* arena = nullptr);
+      int64_t num_bits, const std::vector<Pattern>& patterns);
 
   // Inserts the row (items, support set `words`, support) unless an
   // equal itemset is already present; returns true iff inserted.
@@ -105,7 +98,7 @@ class PatternPool {
                             offsets_[static_cast<size_t>(i)]);
   }
 
-  // A heap-backed copy of row i, independent of the pool and its arena.
+  // A copy of row i, independent of the pool.
   Pattern ToPattern(int64_t i) const;
 
   // Cardinality of the smallest / largest pattern; 0 on an empty pool.

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/file_io.h"
+
 namespace colossal {
 
 namespace {
@@ -70,13 +72,9 @@ StatusOr<TransactionDatabase> ParseFimi(const std::string& text) {
 }
 
 StatusOr<TransactionDatabase> ReadFimiFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open file: " + path);
-  }
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  StatusOr<TransactionDatabase> db = ParseFimi(contents.str());
+  StatusOr<std::string> contents = ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  StatusOr<TransactionDatabase> db = ParseFimi(*contents);
   if (!db.ok()) {
     return Status(db.status().code(), path + ": " + db.status().message());
   }

@@ -1,8 +1,9 @@
 #include "data/matrix_io.h"
 
-#include <fstream>
 #include <sstream>
 #include <vector>
+
+#include "common/file_io.h"
 
 namespace colossal {
 
@@ -54,11 +55,9 @@ StatusOr<TransactionDatabase> ParseBinaryMatrix(const std::string& text) {
 }
 
 StatusOr<TransactionDatabase> ReadBinaryMatrixFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::NotFound("cannot open file: " + path);
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  StatusOr<TransactionDatabase> db = ParseBinaryMatrix(contents.str());
+  StatusOr<std::string> contents = ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  StatusOr<TransactionDatabase> db = ParseBinaryMatrix(*contents);
   if (!db.ok()) {
     return Status(db.status().code(), path + ": " + db.status().message());
   }

@@ -1,11 +1,11 @@
 #include "data/snapshot_io.h"
 
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "common/bitvector.h"
 #include "common/byte_io.h"
+#include "common/file_io.h"
 #include "common/hash.h"
 #include "data/dataset_io.h"
 #include "data/matrix_io.h"
@@ -169,13 +169,9 @@ Status WriteSnapshotFile(const TransactionDatabase& db,
 }
 
 StatusOr<TransactionDatabase> ReadSnapshotFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::NotFound("cannot open file: " + path);
-  }
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  StatusOr<TransactionDatabase> db = ParseSnapshot(contents.str());
+  StatusOr<std::string> contents = ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  StatusOr<TransactionDatabase> db = ParseSnapshot(*contents);
   if (!db.ok()) {
     return Status(db.status().code(), path + ": " + db.status().message());
   }
@@ -188,13 +184,9 @@ StatusOr<TransactionDatabase> LoadDatabaseFile(const std::string& path,
   if (format == "matrix") return ReadBinaryMatrixFile(path);
   if (format == "snapshot") return ReadSnapshotFile(path);
   if (format == "auto") {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-      return Status::NotFound("cannot open file: " + path);
-    }
-    std::ostringstream contents;
-    contents << file.rdbuf();
-    const std::string data = contents.str();
+    StatusOr<std::string> contents = ReadFileToString(path);
+    if (!contents.ok()) return contents.status();
+    const std::string& data = *contents;
     if (LooksLikeSnapshot(data)) {
       StatusOr<TransactionDatabase> db = ParseSnapshot(data);
       if (!db.ok()) {
@@ -206,8 +198,9 @@ StatusOr<TransactionDatabase> LoadDatabaseFile(const std::string& path,
     if (LooksLikeManifest(data)) {
       return Status::InvalidArgument(
           path +
-          ": is a shard manifest, not a dataset — mine it through the "
-          "service (--shards exact|fuse) or load a shard snapshot");
+          ": is a shard manifest, not a dataset — mine it through "
+          "colossal_serve (a request line's --in) or load one of its "
+          "shard snapshots");
     }
     StatusOr<TransactionDatabase> db = ParseFimi(data);
     if (!db.ok()) {

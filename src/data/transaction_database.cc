@@ -128,10 +128,9 @@ const Bitvector& TransactionDatabase::item_tidset(ItemId item) const {
   return tidsets_[item];
 }
 
-Bitvector TransactionDatabase::SupportSet(const Itemset& itemset,
-                                          Arena* arena) const {
-  if (itemset.empty()) return Bitvector(num_transactions(), arena, true);
-  Bitvector support(num_transactions(), arena);
+Bitvector TransactionDatabase::SupportSet(const Itemset& itemset) const {
+  if (itemset.empty()) return Bitvector::AllSet(num_transactions());
+  Bitvector support(num_transactions());
   WriteSupportSet(itemset.items(), support.mutable_words());
   return support;
 }

@@ -72,9 +72,7 @@ class TransactionDatabase {
 
   // The support set D_α (paper §2.1): transactions containing every item
   // of `itemset`. The empty itemset is contained in every transaction.
-  // With an arena, the result is arena-backed (use for mining
-  // temporaries whose lifetime the arena's owner controls).
-  Bitvector SupportSet(const Itemset& itemset, Arena* arena = nullptr) const;
+  Bitvector SupportSet(const Itemset& itemset) const;
 
   // The same support set for a non-empty sorted item list, written into
   // `words` (Bitvector::WordsFor(num_transactions()) words) — how the

@@ -90,7 +90,7 @@ PatternPool FirstLevel(const TransactionDatabase& db,
     }
   }
   PatternPool level(db.num_transactions(),
-                    static_cast<int64_t>(frequent.size()), options.arena);
+                    static_cast<int64_t>(frequent.size()));
   for (const ItemId& item : frequent) {
     const Bitvector& tidset = db.item_tidset(item);
     level.AppendRow({&item, 1}, tidset.words(), tidset.Count());
@@ -131,7 +131,7 @@ PatternPool NextLevel(const PatternPool& level, const MinerOptions& options,
   for (const auto& row : survivors) total += row.size();
   const BitvectorKernels& kernels = ActiveBitvectorKernels();
   const int64_t words = level.words_per_row();
-  PatternPool next(level.num_bits(), total, options.arena);
+  PatternPool next(level.num_bits(), total);
   std::vector<ItemId> items;
   for (int64_t a = 0; a < level.size(); ++a) {
     const std::span<const ItemId> left = level.items(a);
@@ -161,9 +161,7 @@ StatusOr<MinerStats> MineAprioriLevels(
   // candidate visit order, which parallel row sharding does not preserve
   // mid-row.
   const int num_threads =
-      options.max_nodes != 0
-          ? 1
-          : ParallelPolicy{options.num_threads}.ResolvedThreads();
+      options.max_nodes != 0 ? 1 : ResolveNumThreads(options.num_threads);
   // Spawned lazily, on the first level that actually has join work.
   std::unique_ptr<ThreadPool> workers;
 

@@ -31,9 +31,8 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
 // are the (size, lexicographic) pool order. Each survivor's row is
 // written once, as the AND of its two join parents' rows. `visit` gets
 // each completed level, in order, once the next join no longer reads
-// it, and may keep it; the miner holds at most two levels. Levels are
-// carved from options.arena when one is given. A tripped node budget
-// drops the level being joined.
+// it, and may keep it; the miner holds at most two levels. A tripped
+// node budget drops the level being joined.
 StatusOr<MinerStats> MineAprioriLevels(
     const TransactionDatabase& db, const MinerOptions& options,
     const std::function<void(PatternPool level)>& visit);

@@ -34,8 +34,7 @@ std::vector<std::pair<ItemId, Bitvector>> ExpandChild(
         options.min_support_count) {
       child_extensions.emplace_back(
           extensions[j].first,
-          Bitvector::And(extensions[i].second, extensions[j].second,
-                         options.arena));
+          Bitvector::And(extensions[i].second, extensions[j].second));
     }
   }
   return child_extensions;
@@ -99,16 +98,14 @@ StatusOr<MiningResult> MineEclat(const TransactionDatabase& db,
     }
     const Bitvector& tidset = db.item_tidset(item);
     if (tidset.Count() >= options.min_support_count) {
-      roots.emplace_back(item, Bitvector(tidset, options.arena));
+      roots.emplace_back(item, tidset);
     }
   }
 
   // Budgeted runs stay serial so the truncation point is the exact DFS
   // prefix a single-threaded walk would produce.
   const int num_threads =
-      options.max_nodes != 0
-          ? 1
-          : ParallelPolicy{options.num_threads}.ResolvedThreads();
+      options.max_nodes != 0 ? 1 : ResolveNumThreads(options.num_threads);
   if (num_threads > 1 && roots.size() > 1) {
     // Each root's subtree is an independent DFS over the extension
     // lists to its right: shard subtrees across workers into per-root

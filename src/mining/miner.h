@@ -12,8 +12,6 @@
 
 namespace colossal {
 
-class Arena;
-
 // Types shared by all complete miners (Apriori, Eclat, FP-growth, the
 // closed/maximal/top-k miners). These play two roles in the reproduction:
 // they are the baselines Pattern-Fusion is compared against in Figures 6
@@ -65,14 +63,6 @@ struct MinerOptions {
   // identical for any value. Budgeted runs (max_nodes != 0) fall back to
   // serial so the truncation point stays deterministic.
   int num_threads = 0;
-
-  // Optional bump arena for mining temporaries: Apriori's level
-  // matrices (MineAprioriLevels hands each level to its caller) and
-  // Eclat's tidset intersections; the other miners ignore it. It must
-  // outlive the call and any level kept; a MiningResult never refers to
-  // it. Output is byte-identical with or without it, and it is part of
-  // no request canonicalization or cache key.
-  Arena* arena = nullptr;
 };
 
 // Execution metadata reported with every mining run.

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/file_io.h"
+
 namespace colossal {
 
 std::string PatternsToString(const std::vector<FrequentItemset>& patterns) {
@@ -92,12 +94,9 @@ Status WritePatternsFile(const std::vector<FrequentItemset>& patterns,
 
 StatusOr<std::vector<FrequentItemset>> ReadPatternsFile(
     const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::NotFound("cannot open file: " + path);
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  StatusOr<std::vector<FrequentItemset>> patterns =
-      ParsePatterns(contents.str());
+  StatusOr<std::string> contents = ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  StatusOr<std::vector<FrequentItemset>> patterns = ParsePatterns(*contents);
   if (!patterns.ok()) {
     return Status(patterns.status().code(),
                   path + ": " + patterns.status().message());

@@ -165,8 +165,6 @@ void AppendFlightRecordJson(const FlightRecord& record, std::string* out) {
   }
   AppendJson(out, "},\"admission_wait_ms\":%.3f",
              static_cast<double>(record.admission_wait_nanos) / 1e6);
-  AppendJson(out, ",\"arena_peak_bytes\":%lld",
-             static_cast<long long>(record.arena_peak_bytes));
   AppendJson(out, ",\"shards\":%d,\"shard_parallelism\":%d}",
              static_cast<int>(record.shards),
              static_cast<int>(record.shard_parallelism));

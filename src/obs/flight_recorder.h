@@ -38,8 +38,6 @@ struct FlightRecord {
   int64_t phase_nanos[kNumTracePhases] = {};
   // Registry admission time (GetPinned reservations waiting for room).
   int64_t admission_wait_nanos = 0;
-  // High-water mark over this request's own mining arenas.
-  int64_t arena_peak_bytes = 0;
   int32_t shards = 0;             // 0 = unsharded
   int32_t shard_parallelism = 0;  // resolved fan-out knob (0 = auto)
   char transport[8] = {};         // "tcp" | "http" | "stdin" | "batch" ...

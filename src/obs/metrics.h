@@ -13,7 +13,7 @@ namespace colossal {
 
 // The unified observability layer: every counter the serving stack used
 // to keep in ad-hoc structs (TcpServerStats, registry evictions, cache
-// hits, arena peaks) now lives in one MetricsRegistry, alongside the
+// hits, peak residency) now lives in one MetricsRegistry, alongside the
 // per-phase latency histograms the tracing layer (obs/trace.h) feeds.
 // One renderer turns the whole registry into Prometheus-style text
 // exposition — what the `metrics` control word returns over both the
@@ -46,7 +46,7 @@ class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  // CAS-max: lock-free high-water marks (arena peaks, peak residency).
+  // CAS-max: lock-free high-water marks (peak residency).
   void RaiseTo(int64_t v) {
     int64_t seen = value_.load(std::memory_order_relaxed);
     while (v > seen &&
@@ -55,12 +55,6 @@ class Gauge {
     }
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
-  // The underlying cell, for callers that already speak
-  // std::atomic<int64_t> (RaiseArenaPeak, ShardResidencyOptions'
-  // arena-peak sink) — the gauge IS the counter they update, not a
-  // mirror that could drift.
-  std::atomic<int64_t>& cell() { return value_; }
 
  private:
   std::atomic<int64_t> value_{0};

@@ -65,7 +65,6 @@ struct RequestTrace {
   // recorder when the request completes. Atomic for the same reason the
   // phase accumulators are: shard loader threads report concurrently.
   std::atomic<int64_t> admission_wait_nanos{0};
-  std::atomic<int64_t> arena_peak_bytes{0};
   std::atomic<int32_t> shard_parallelism{0};
 
   void AddNanos(TracePhase phase, int64_t nanos) {

@@ -240,7 +240,7 @@ std::string FormatStatsLine(const MiningService& service) {
       "sniff_cache_hits=%lld admission_waits=%lld "
       "admission_rejected=%lld slow_requests=%lld flight_dropped=%lld "
       "reap_pending=%lld "
-      "resident_mb=%.1f peak_resident_mb=%.1f arena_peak_mb=%.1f simd=%s",
+      "resident_mb=%.1f peak_resident_mb=%.1f simd=%s",
       static_cast<long long>(
           metrics.CounterValue("colossal_result_cache_hits_total")),
       static_cast<long long>(
@@ -273,8 +273,6 @@ std::string FormatStatsLine(const MiningService& service) {
           (1 << 20),
       static_cast<double>(
           metrics.GaugeValue("colossal_dataset_peak_resident_bytes")) /
-          (1 << 20),
-      static_cast<double>(metrics.GaugeValue("colossal_arena_peak_bytes")) /
           (1 << 20),
       ActiveBitvectorKernels().name);
   return buffer;

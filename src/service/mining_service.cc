@@ -4,10 +4,10 @@
 #include <exception>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/bitvector_kernels.h"
 #include "common/hash.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 
 namespace colossal {
 
@@ -27,20 +27,6 @@ namespace {
 // every request is slow degrades to a sample, not a stderr flood.
 constexpr double kSlowLogBurst = 10.0;
 constexpr double kSlowLogPerSecond = 10.0;
-
-// Publishes an arena's high-water mark into a service counter on scope
-// exit, so every RunMine return path (success, Status, early bail)
-// still records what the request's arena actually reached.
-class ArenaPeakRecorder {
- public:
-  ArenaPeakRecorder(std::atomic<int64_t>* sink, const Arena* arena)
-      : sink_(sink), arena_(arena) {}
-  ~ArenaPeakRecorder() { RaiseArenaPeak(*sink_, arena_->high_water_bytes()); }
-
- private:
-  std::atomic<int64_t>* sink_;
-  const Arena* arena_;
-};
 
 DatasetRegistryOptions WithMetrics(DatasetRegistryOptions options,
                                    MetricsRegistry* metrics) {
@@ -97,9 +83,6 @@ MiningService::MiningService(const MiningServiceOptions& options)
           "Responses that carried an error status")),
       inflight_gauge_(metrics_->GetGauge("colossal_inflight_mines",
                                          "Distinct mines currently running")),
-      arena_peak_gauge_(metrics_->GetGauge(
-          "colossal_arena_peak_bytes",
-          "Largest arena high-water mark any mine has reached")),
       admission_rejected_(metrics_->GetCounter(
           "colossal_admission_rejected_total",
           "Mines rejected by the admission gate (RESOURCE_EXHAUSTED)")),
@@ -127,8 +110,7 @@ MiningService::MiningService(const MiningServiceOptions& options)
       slow_log_refill_(start_time_),
       admission_(options.max_inflight_mines, options.max_inflight_mine_bytes),
       registry_(WithMetrics(options.registry, metrics_)),
-      cache_(WithMetrics(options.cache, metrics_)),
-      pool_(options.num_threads) {
+      cache_(WithMetrics(options.cache, metrics_)) {
   for (int i = 0; i < kNumTracePhases; ++i) {
     const TracePhase phase = static_cast<TracePhase>(i);
     phase_seconds_[i] = metrics_->GetHistogram(
@@ -226,8 +208,6 @@ FlightRecord BuildFlightRecord(uint64_t id, int64_t start_unix_nanos,
   }
   record.admission_wait_nanos =
       trace.admission_wait_nanos.load(std::memory_order_relaxed);
-  record.arena_peak_bytes =
-      trace.arena_peak_bytes.load(std::memory_order_relaxed);
   record.shards = response.shards;
   record.shard_parallelism =
       trace.shard_parallelism.load(std::memory_order_relaxed);
@@ -343,8 +323,7 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
 }
 
 StatusOr<ColossalMiningResult> MiningService::RunMine(
-    const MineRequest& request, const Prepared& prep, RequestTrace* trace,
-    std::atomic<int64_t>* arena_peak) {
+    const MineRequest& request, const Prepared& prep, RequestTrace* trace) {
   // Execution options: the request as sent — both miners canonicalize
   // it themselves, exactly as Prepare did — so the performance knobs
   // (threads, shard parallelism, pool miner) come from the request, the
@@ -358,15 +337,6 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
     trace->shard_parallelism.store(exec.shard_parallelism,
                                    std::memory_order_relaxed);
   }
-  // One arena per request: every mining temporary this request
-  // allocates frees when the arena goes out of scope, and its
-  // high-water mark feeds the stats line's arena_peak_mb. Results are
-  // detached onto the heap before the miners return, so the cached
-  // shared_ptr never references this arena. The peak lands in the
-  // caller's per-request sink; RunMineNoThrow folds it into the global
-  // gauge and the request's flight record.
-  Arena request_arena;
-  ArenaPeakRecorder record_peak(arena_peak, &request_arena);
   if (!prep.sharded) {
     std::shared_ptr<const TransactionDatabase> db = prep.handle.db;
     if (db == nullptr) {
@@ -385,7 +355,7 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
       }
       db = fresh->db;
     }
-    return MineColossal(*db, exec, &request_arena, trace);
+    return MineColossal(*db, exec, trace);
   }
   // Shards load through the registry's concurrent-admission API:
   // GetPinned reserves the estimate before reading, so however many
@@ -394,7 +364,6 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
   // when the shard job drops it.
   ShardResidencyOptions residency;
   residency.budget_bytes = options_.registry.memory_budget_bytes;
-  residency.arena_peak_bytes = arena_peak;
   residency.trace = trace;
   ShardedMiner miner(
       *prep.manifest,
@@ -413,32 +382,18 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
                            std::move(shard->pin)};
       },
       residency);
-  return miner.Mine(exec, ShardMergeMode::kExact, &request_arena);
+  return miner.Mine(exec, ShardMergeMode::kExact);
 }
 
 StatusOr<ColossalMiningResult> MiningService::RunMineNoThrow(
     const MineRequest& request, const Prepared& prep, RequestTrace* trace) {
-  // Per-request arena-peak sink: RunMine's arenas (and the sharded
-  // fan-out's) raise it, and it folds into the process-wide gauge here
-  // so arena_peak_mb still reports the global high-water mark while the
-  // flight record gets this request's own.
-  std::atomic<int64_t> arena_peak{0};
-  StatusOr<ColossalMiningResult> mined =
-      [&]() -> StatusOr<ColossalMiningResult> {
-    try {
-      return RunMine(request, prep, trace, &arena_peak);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("mining threw: ") + e.what());
-    } catch (...) {
-      return Status::Internal("mining threw a non-standard exception");
-    }
-  }();
-  const int64_t peak = arena_peak.load(std::memory_order_relaxed);
-  RaiseArenaPeak(arena_peak_gauge_->cell(), peak);
-  if (trace != nullptr && peak > 0) {
-    trace->arena_peak_bytes.store(peak, std::memory_order_relaxed);
+  try {
+    return RunMine(request, prep, trace);
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("mining threw: ") + e.what());
+  } catch (...) {
+    return Status::Internal("mining threw a non-standard exception");
   }
-  return mined;
 }
 
 StatusOr<ColossalMiningResult> MiningService::AdmitAndRunMine(
@@ -590,6 +545,7 @@ std::vector<MiningResponse> MiningService::MineBatch(
   const size_t n = requests.size();
   std::vector<MiningResponse> responses(n);
   requests_total_->Increment(static_cast<int64_t>(n));
+  ThreadPool pool(options_.num_threads);
 
   // Phase 1: resolve every request to its cache key (dataset loads fan
   // out across the pool, exactly as mining used to). Per-request traces
@@ -598,7 +554,7 @@ std::vector<MiningResponse> MiningService::MineBatch(
   std::vector<Prepared> prepared(n);
   std::vector<double> prep_seconds(n, 0.0);
   std::vector<RequestTrace> traces(n);
-  pool_.ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
+  pool.ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
     Stopwatch stopwatch;
     prepared[static_cast<size_t>(i)] =
         Prepare(requests[static_cast<size_t>(i)], /*keep_dataset=*/false,
@@ -642,7 +598,7 @@ std::vector<MiningResponse> MiningService::MineBatch(
   // dropped every dataset handle, so resident datasets stay governed by
   // the registry budget even while a batch over many datasets is in
   // flight; the representatives re-resolve on mine (see RunMine).
-  pool_.ParallelFor(static_cast<int64_t>(groups.size()), [&](int64_t g) {
+  pool.ParallelFor(static_cast<int64_t>(groups.size()), [&](int64_t g) {
     const std::vector<size_t>& group = groups[static_cast<size_t>(g)];
     const size_t rep = group[0];
     responses[rep] = Execute(requests[rep], prepared[rep], &traces[rep]);

@@ -1,7 +1,6 @@
 #ifndef COLOSSAL_SERVICE_MINING_SERVICE_H_
 #define COLOSSAL_SERVICE_MINING_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -27,7 +25,8 @@
 namespace colossal {
 
 struct MiningServiceOptions {
-  // Worker threads the batch API fans requests across. 0 = auto.
+  // Worker threads each MineBatch call spawns to fan its requests
+  // across. 0 = auto.
   int num_threads = 0;
 
   // Default intra-request mining threads when a request leaves
@@ -194,11 +193,6 @@ class MiningService {
   // layer for the serialize phase, which runs after Mine returned.
   void RecordPhaseNanos(TracePhase phase, int64_t nanos);
 
-  // Largest arena high-water mark any mine has reached so far (bytes):
-  // the max over per-request arenas and every per-shard mining/re-count
-  // arena. What the stats line reports as arena_peak_mb.
-  int64_t arena_peak_bytes() const { return arena_peak_gauge_->value(); }
-
  private:
   friend class MiningServiceTestPeer;
 
@@ -251,13 +245,10 @@ class MiningService {
                          RequestTrace* trace);
 
   // The mine itself, with canonical options and the request's thread
-  // count resolved. `arena_peak` collects this request's own arena
-  // high-water marks (per-request arena plus every shard arena);
-  // RunMineNoThrow folds it into the global gauge and the trace.
+  // count resolved.
   StatusOr<ColossalMiningResult> RunMine(const MineRequest& request,
                                          const Prepared& prep,
-                                         RequestTrace* trace,
-                                         std::atomic<int64_t>* arena_peak);
+                                         RequestTrace* trace);
 
   // RunMine with escaping exceptions (bad_alloc in a deep mining
   // allocation, say) converted to an Internal Status. Execute's runner
@@ -298,7 +289,6 @@ class MiningService {
   Counter* responses_coalesced_;
   Counter* responses_failed_;
   Gauge* inflight_gauge_;
-  Gauge* arena_peak_gauge_;
   Counter* admission_rejected_;
   Gauge* admitted_mines_gauge_;
   Gauge* admitted_bytes_gauge_;
@@ -324,7 +314,6 @@ class MiningService {
 
   DatasetRegistry registry_;
   ResultCache cache_;
-  ThreadPool pool_;
 
   std::mutex inflight_mutex_;
   std::unordered_map<ResultCacheKey, std::shared_ptr<Inflight>,

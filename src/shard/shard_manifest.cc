@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/file_io.h"
+
 namespace colossal {
 
 namespace {
@@ -240,13 +242,9 @@ Status WriteShardManifestFile(const ShardManifest& manifest,
 }
 
 StatusOr<ShardManifest> ReadShardManifestFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::NotFound("cannot open file: " + path);
-  }
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  StatusOr<ShardManifest> manifest = ParseShardManifest(contents.str());
+  StatusOr<std::string> contents = ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  StatusOr<ShardManifest> manifest = ParseShardManifest(*contents);
   if (!manifest.ok()) {
     return Status(manifest.status().code(),
                   path + ": " + manifest.status().message());

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/bitvector_kernels.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -24,12 +23,6 @@
 namespace colossal {
 
 namespace {
-
-// CAS-max a finished arena's high-water mark into the residency
-// options' stat sink (when one is wired).
-void RecordArenaPeak(std::atomic<int64_t>* sink, const Arena& arena) {
-  if (sink != nullptr) RaiseArenaPeak(*sink, arena.high_water_bytes());
-}
 
 // Whether `path` starts with the snapshot magic (one 8-byte read — the
 // byte-estimate below must know which on-disk layout it is bounding).
@@ -113,7 +106,8 @@ int64_t EstimateShardResidentBytes(const ShardInfo& info, int64_t num_items) {
                   overhead);
 }
 
-int64_t EstimateShardArenaBytes(const ShardInfo& info, int64_t num_items) {
+int64_t EstimateShardScratchBytes(const ShardInfo& info, int64_t num_items) {
+  constexpr int64_t kScratchFloorBytes = 256 * 1024;
   const auto saturate = [](__int128 value) {
     const __int128 max64 = std::numeric_limits<int64_t>::max();
     if (value > max64) return std::numeric_limits<int64_t>::max();
@@ -122,9 +116,9 @@ int64_t EstimateShardArenaBytes(const ShardInfo& info, int64_t num_items) {
   };
   const __int128 rows = info.rows();
   const __int128 items = num_items;
-  // One rows-bit tidset per item of live candidate scratch, plus one
-  // default chunk so tiny shards still charge the arena's floor.
-  return saturate(items * ((rows + 7) / 8) + Arena::kDefaultChunkBytes);
+  // One rows-bit tidset per item of live candidate scratch, plus a floor
+  // so tiny shards still charge some scratch.
+  return saturate(items * ((rows + 7) / 8) + kScratchFloorBytes);
 }
 
 int MaxConcurrentResidentShards(const std::vector<int64_t>& estimated_bytes,
@@ -168,7 +162,7 @@ int ShardedMiner::ResolveFanOut(const ColossalMinerOptions& options,
   const int num_shards = static_cast<int>(manifest_.shards.size());
   int fan_out = options.shard_parallelism > 0
                     ? options.shard_parallelism
-                    : ParallelPolicy{0}.ResolvedThreads();
+                    : ResolveNumThreads(0);
   if (fan_out > num_shards) fan_out = num_shards;
   if (residency_.budget_bytes > 0 && fan_out > 1) {
     const int admitted =
@@ -211,8 +205,7 @@ StatusOr<LoadedShard> ShardedMiner::LoadShard(size_t index,
 }
 
 StatusOr<ColossalMiningResult> ShardedMiner::Mine(
-    const ColossalMinerOptions& options, ShardMergeMode /*mode*/,
-    Arena* arena) const {
+    const ColossalMinerOptions& options, ShardMergeMode /*mode*/) const {
   const int64_t total_rows = manifest_.num_transactions;
   StatusOr<ColossalMinerOptions> canonical =
       CanonicalizeMinerOptionsForSize(total_rows, options);
@@ -246,14 +239,15 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   const size_t num_shards = manifest_.shards.size();
   // One estimate per shard (one stat each), shared by the governor and
   // every load below so both reason from the same numbers. Each shard
-  // is charged for its resident bytes plus its mining-arena scratch, so
+  // is charged for its resident bytes plus its mining scratch, so
   // admission reserves what a shard job actually holds while mining.
   std::vector<int64_t> estimates;
   estimates.reserve(num_shards);
   for (const ShardInfo& info : manifest_.shards) {
     const int64_t resident =
         EstimateShardResidentBytes(info, manifest_.num_items);
-    const int64_t scratch = EstimateShardArenaBytes(info, manifest_.num_items);
+    const int64_t scratch =
+        EstimateShardScratchBytes(info, manifest_.num_items);
     estimates.push_back(resident > std::numeric_limits<int64_t>::max() - scratch
                             ? std::numeric_limits<int64_t>::max()
                             : resident + scratch);
@@ -266,18 +260,12 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     const int64_t local_min = ShardLocalMinSupport(
         min_support, manifest_.shards[i].rows(), total_rows);
 
-    // One arena per shard job: all of this mine's tidset temporaries
-    // free together when the job ends, and concurrent jobs never
-    // contend on each other's allocator. Only the itemsets escape, so
-    // nothing outlives the arena.
-    Arena shard_arena;
     // The complete bounded-size miner at the Partition-scaled threshold:
     // the union over shards is a superset of the global initial pool.
     MinerOptions miner_options;
     miner_options.min_support_count = local_min;
     miner_options.max_pattern_size = canonical->initial_pool_max_size;
     miner_options.num_threads = options.num_threads;
-    miner_options.arena = &shard_arena;
     // Constraint pushdown reaches each shard's complete miner: excluded
     // vocabulary never materializes a per-shard Bitvector, exactly as in
     // the unsharded BuildInitialPool path.
@@ -292,7 +280,6 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
           }
         });
     if (!mined.ok()) return mined.status();
-    RecordArenaPeak(residency_.arena_peak_bytes, shard_arena);
     return mined_items;
   };
   // The pool order is fixed before any support set exists: each shard
@@ -373,9 +360,8 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   PhaseTimer stitch_timer(residency_.trace, TracePhase::kStitch);
 
   // The pool, one zeroed row per candidate, is the only copy of the
-  // candidates from here on; on the request arena, it flows straight
-  // into fusion.
-  PatternPool pool(total_rows, static_cast<int64_t>(candidates.size()), arena);
+  // candidates from here on; it flows straight into fusion.
+  PatternPool pool(total_rows, static_cast<int64_t>(candidates.size()));
   for (const Itemset& items : candidates) pool.AppendRow(items.items());
   std::vector<Itemset>().swap(candidates);
 
@@ -386,8 +372,7 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   // worker writes a candidate's shard-local set into one reused scratch
   // row.
   const BitvectorKernels& kernels = ActiveBitvectorKernels();
-  const int num_threads =
-      ParallelPolicy{options.num_threads}.ResolvedThreads();
+  const int num_threads = ResolveNumThreads(options.num_threads);
   std::unique_ptr<ThreadPool> workers;
   if (num_threads > 1 && pool.size() > 1) {
     workers = std::make_unique<ThreadPool>(num_threads);
@@ -437,7 +422,7 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   ColossalMinerOptions exec = *canonical;
   exec.num_threads = options.num_threads;
   PhaseTimer fusion_timer(residency_.trace, TracePhase::kFusion);
-  return FuseColossalFromPool(total_rows, std::move(pool), exec, arena);
+  return FuseColossalFromPool(total_rows, std::move(pool), exec);
 }
 
 }  // namespace colossal

@@ -1,7 +1,6 @@
 #ifndef COLOSSAL_SHARD_SHARDED_MINER_H_
 #define COLOSSAL_SHARD_SHARDED_MINER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -81,17 +80,17 @@ int64_t ShardLocalMinSupport(int64_t min_support, int64_t shard_rows,
 // fails with its own Status anyway).
 int64_t EstimateShardResidentBytes(const ShardInfo& info, int64_t num_items);
 
-// Estimated bytes of mining-temporary (arena) storage one shard's
-// phase-1 mine allocates on top of the resident shard itself: bounded
-// heuristically by a vertical-index-sized set of candidate tidsets (the
+// Estimated bytes of mining scratch one shard's phase-1 mine allocates
+// on top of the resident shard itself: bounded heuristically by a
+// vertical-index-sized set of candidate tidsets (the
 // popcount-before-materialize discipline keeps materialized candidates
-// to frequent survivors, each a rows-bit set) plus one arena chunk of
+// to frequent survivors, each a rows-bit set) plus a 256 KiB floor of
 // slack. The sharded miner adds this to EstimateShardResidentBytes per
 // shard, so the residency governor's fan-out cap and the registry's
 // pinned-load reservations both charge for mining scratch, not just the
-// dataset. A heuristic charge, not a hard bound — the arena itself
-// grows as needed; 128-bit saturating like the resident estimate.
-int64_t EstimateShardArenaBytes(const ShardInfo& info, int64_t num_items);
+// dataset. A heuristic charge, not a hard bound; 128-bit saturating
+// like the resident estimate.
+int64_t EstimateShardScratchBytes(const ShardInfo& info, int64_t num_items);
 
 // The residency governor: how many shards may be resident at once so
 // that any concurrently loaded subset fits `budget_bytes` (computed
@@ -131,12 +130,6 @@ using ShardLoader = std::function<StatusOr<LoadedShard>(
 struct ShardResidencyOptions {
   int64_t budget_bytes = 0;
 
-  // Optional sink for arena high-water marks: every per-shard mining
-  // arena and the re-count scratch arena CAS-max their peaks into it
-  // (RaiseArenaPeak). The service points this at its arena_peak_bytes
-  // counter so sharded mines show up in the stats line's arena_peak_mb.
-  std::atomic<int64_t>* arena_peak_bytes = nullptr;
-
   // Optional per-request trace: the miner accumulates phase-1 mining
   // wall time into kPoolMine, the re-count + candidate filter into
   // kStitch, and the final fusion into kFusion. Registry/admission time
@@ -161,16 +154,8 @@ class ShardedMiner {
   // MineColossal interprets it (sigma resolved against the manifest's
   // transaction count; num_threads and shard_parallelism are pure
   // performance knobs). `mode` must be kExact.
-  //
-  // `arena`, when given, backs the cross-shard phases (the stitched
-  // global support sets and fusion scratch) exactly as MineColossal's
-  // arena parameter does; phase-1 shard jobs always use their own
-  // short-lived arenas, one per job, freed when the job ends. Result
-  // patterns are heap-backed either way, and output is byte-identical
-  // with or without an arena.
   StatusOr<ColossalMiningResult> Mine(const ColossalMinerOptions& options,
-                                      ShardMergeMode mode,
-                                      Arena* arena = nullptr) const;
+                                      ShardMergeMode mode) const;
 
  private:
   // Loads shard `index` (passing the residency governor's

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/bitvector.h"
 #include "common/rng.h"
 
@@ -146,36 +145,6 @@ TEST_F(BitvectorKernelTest, SubsetEdgeCases) {
     EXPECT_TRUE(tail.IsSubsetOf(ones));
     EXPECT_EQ(Bitvector::AndCount(tail, ones), 1);
   }
-}
-
-TEST_F(BitvectorKernelTest, ArenaAndHeapBackingsAgree) {
-  Rng rng(0xa7e4a);
-  Arena arena;
-  for (int rep = 0; rep < 50; ++rep) {
-    const int64_t num_bits = rng.UniformInt(1, 500);
-    const Bitvector heap_a = RandomVector(rng, num_bits, 0.4);
-    const Bitvector heap_b = RandomVector(rng, num_bits, 0.4);
-    Bitvector arena_a(heap_a, &arena);
-    Bitvector arena_b(heap_b, &arena);
-    ASSERT_TRUE(arena_a.arena_backed());
-    ASSERT_EQ(arena_a, heap_a);
-
-    Bitvector heap_and = Bitvector::And(heap_a, heap_b);
-    Bitvector arena_and = Bitvector::And(arena_a, arena_b, &arena);
-    ASSERT_TRUE(arena_and.arena_backed());
-    ASSERT_FALSE(heap_and.arena_backed());
-    ASSERT_EQ(heap_and, arena_and);
-    ASSERT_EQ(heap_and.ToString(), arena_and.ToString());
-
-    // Copies always land on the heap; detach re-homes in place.
-    Bitvector copied = arena_and;
-    ASSERT_FALSE(copied.arena_backed());
-    ASSERT_EQ(copied, arena_and);
-    arena_and.DetachFromArena();
-    ASSERT_FALSE(arena_and.arena_backed());
-    ASSERT_EQ(copied, arena_and);
-  }
-  EXPECT_GT(arena.high_water_bytes(), 0);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 
 namespace colossal {
 namespace {
@@ -249,47 +248,10 @@ TEST(BitvectorSerializationTest, RejectsCorruptPadding) {
             std::string::npos);
 }
 
-// Arena backing must be invisible in the serialized bytes — and the
-// parser must keep rejecting dirty padding even when the vector being
-// round-tripped was carved from recycled (non-zeroed) arena memory.
-TEST(BitvectorSerializationTest, ArenaBackedRoundTripMatchesHeap) {
-  Arena arena;
-  // Dirty the arena so recycled chunk bytes are all-ones, then rewind:
-  // any missed trailing-bit canonicalization would now show up as set
-  // padding bits in the arena-backed copy.
-  for (int i = 0; i < 64; ++i) {
-    Bitvector scribble(1000, &arena, true);
-  }
-  arena.Reset();
-
-  for (int64_t num_bits : {1, 63, 64, 65, 130, 1000}) {
-    Bitvector heap(num_bits);
-    for (int64_t bit = 0; bit < num_bits; bit += 3) heap.Set(bit);
-    Bitvector arena_backed(heap, &arena);
-    ASSERT_TRUE(arena_backed.arena_backed());
-
-    std::string heap_bytes;
-    heap.AppendTo(&heap_bytes);
-    std::string arena_bytes;
-    arena_backed.AppendTo(&arena_bytes);
-    EXPECT_EQ(heap_bytes, arena_bytes) << num_bits;
-
-    size_t pos = 0;
-    StatusOr<Bitvector> parsed = Bitvector::ParseFrom(arena_bytes, &pos);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_FALSE(parsed->arena_backed());  // parsing always heap-allocates
-    EXPECT_EQ(*parsed, heap) << num_bits;
-  }
-}
-
-TEST(BitvectorSerializationTest, ArenaAllSetHasCleanPadding) {
-  Arena arena;
-  Bitvector scribble(512, &arena, true);
-  arena.Reset();  // the next carve reuses the all-ones bytes
-
-  // 65 bits leaves 63 padding bits in the tail word; all must be clear
-  // even though the arena handed back dirty storage.
-  Bitvector ones(65, &arena, true);
+TEST(BitvectorSerializationTest, AllSetHasCleanPadding) {
+  // 65 bits leaves 63 padding bits in the tail word; the all-ones fill
+  // must leave every one of them clear.
+  const Bitvector ones = Bitvector::AllSet(65);
   EXPECT_EQ(ones.Count(), 65);
   std::string data;
   ones.AppendTo(&data);

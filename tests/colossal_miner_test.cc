@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "data/generators.h"
 
 namespace colossal {
@@ -95,18 +94,12 @@ TEST(ColossalMinerTest, HugeRetainCapMinesWithNormalMemory) {
   options.seed = 7;
   options.num_threads = 1;
   options.max_superpatterns_per_seed = options.fusion_attempts_per_seed;
-  Arena exact_arena;
-  StatusOr<ColossalMiningResult> exact =
-      MineColossal(labeled.db, options, &exact_arena);
+  StatusOr<ColossalMiningResult> exact = MineColossal(labeled.db, options);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
 
   options.max_superpatterns_per_seed = std::numeric_limits<int>::max();
-  Arena huge_arena;
-  StatusOr<ColossalMiningResult> huge =
-      MineColossal(labeled.db, options, &huge_arena);
+  StatusOr<ColossalMiningResult> huge = MineColossal(labeled.db, options);
   ASSERT_TRUE(huge.ok()) << huge.status().ToString();
-  EXPECT_EQ(huge_arena.high_water_bytes(), exact_arena.high_water_bytes());
-  EXPECT_LT(huge_arena.high_water_bytes(), int64_t{64} << 20);
   ASSERT_EQ(huge->patterns.size(), exact->patterns.size());
   for (size_t i = 0; i < exact->patterns.size(); ++i) {
     EXPECT_TRUE(huge->patterns[i] == exact->patterns[i]) << i;
@@ -180,7 +173,7 @@ TEST(ColossalMinerTest, TraceRecordsPoolMineAndFusionPhases) {
   options.k = 30;
   RequestTrace trace;
   StatusOr<ColossalMiningResult> traced =
-      MineColossal(labeled.db, options, nullptr, &trace);
+      MineColossal(labeled.db, options, &trace);
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
   EXPECT_GT(trace.nanos(TracePhase::kPoolMine), 0);
   EXPECT_GT(trace.nanos(TracePhase::kFusion), 0);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
+
 namespace colossal {
 namespace {
 
@@ -72,6 +74,28 @@ TEST(DatasetIoTest, MissingFileIsNotFound) {
       ReadFimiFile("/nonexistent/path/to/data.fimi");
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.status().message(),
+            "cannot open file: /nonexistent/path/to/data.fimi");
+}
+
+TEST(FileIoTest, ReadsEveryByte) {
+  const std::string path = ::testing::TempDir() + "/colossal_io_bytes.bin";
+  std::string bytes(70000, 'x');  // past any one stream buffer
+  bytes[3] = '\0';
+  bytes[69999] = '\n';
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  StatusOr<std::string> read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, bytes);
+
+  { std::ofstream truncate(path, std::ios::binary); }
+  read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, "");
+  std::remove(path.c_str());
 }
 
 TEST(DatasetIoTest, FileParseErrorMentionsPath) {

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "common/bitvector_kernels.h"
 #include "common/hash.h"
 #include "core/colossal_miner.h"
@@ -168,46 +167,6 @@ TEST(DeterminismTest, BuildInitialPoolIdenticalAcrossThreadCounts) {
   }
 }
 
-// Arena backing is a pure allocation strategy: the mine must produce
-// bit-identical output with and without a request arena, and nothing in
-// the result may still point into the arena (it resets between
-// requests).
-TEST(DeterminismTest, MineColossalIdenticalWithAndWithoutArena) {
-  LabeledDatabase labeled = MakeDiagPlus(30, 15);
-  ColossalMinerOptions options;
-  options.min_support_count = labeled.min_support_count;
-  options.initial_pool_max_size = 2;
-  options.tau = 0.5;
-  options.k = 50;
-  options.seed = 7;
-
-  StatusOr<ColossalMiningResult> heap = MineColossal(labeled.db, options);
-  ASSERT_TRUE(heap.ok());
-
-  Arena arena;
-  StatusOr<ColossalMiningResult> arena_backed =
-      MineColossal(labeled.db, options, &arena);
-  ASSERT_TRUE(arena_backed.ok());
-  EXPECT_GT(arena.high_water_bytes(), 0) << "arena was never used";
-
-  EXPECT_EQ(arena_backed->initial_pool_size, heap->initial_pool_size);
-  EXPECT_EQ(arena_backed->iterations, heap->iterations);
-  EXPECT_EQ(arena_backed->converged, heap->converged);
-  ExpectSamePatterns(arena_backed->patterns, heap->patterns, 1);
-  for (const Pattern& pattern : arena_backed->patterns) {
-    EXPECT_FALSE(pattern.support_set.arena_backed())
-        << "result escaped with arena-backed storage";
-  }
-
-  // Reusing the arena (as the service does across a request loop)
-  // changes neither the answer nor the arena's footprint direction.
-  arena.Reset();
-  StatusOr<ColossalMiningResult> again =
-      MineColossal(labeled.db, options, &arena);
-  ASSERT_TRUE(again.ok());
-  ExpectSamePatterns(again->patterns, heap->patterns, 1);
-}
-
 // Backend dispatch is invisible in the output: the scalar kernels and
 // whatever backend the host resolves (AVX2 here when supported) must
 // mine bit-identical results. On a scalar-only host the two runs
@@ -239,7 +198,7 @@ TEST(DeterminismTest, MineColossalIdenticalAcrossKernelBackends) {
 
 // --- Golden output ---------------------------------------------------------
 // The tests above compare a build only against itself (threads, kernels,
-// arena, shards), so none of them notices the answer drifting between
+// shards), so none of them notices the answer drifting between
 // commits. These pin the served payload (RenderPatternsPayload: every
 // itemset and support, in result order) of fixed mines to fingerprints
 // recorded before the columnar PatternPool replaced the vector-of-Pattern

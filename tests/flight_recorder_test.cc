@@ -31,7 +31,6 @@ FlightRecord SelfValidatingRecord(uint64_t id) {
     record.phase_nanos[p] = static_cast<int64_t>(id + p);
   }
   record.admission_wait_nanos = static_cast<int64_t>(id * 13);
-  record.arena_peak_bytes = static_cast<int64_t>(id * 17);
   record.shards = static_cast<int32_t>(id % 64);
   record.shard_parallelism = static_cast<int32_t>(id % 8);
   SetFlightField(record.transport, id % 2 == 0 ? "tcp" : "http");
@@ -191,8 +190,7 @@ TEST(FlightRecorderTest, JsonCarriesEveryPhaseAndIdentityField) {
         "\"status\":", "\"response_bytes\":", "\"total_ms\":",
         "\"parse\":", "\"cache_lookup\":", "\"registry\":",
         "\"pool_mine\":", "\"stitch\":", "\"fusion\":", "\"serialize\":",
-        "\"admission_wait_ms\":", "\"arena_peak_bytes\":", "\"shards\":",
-        "\"shard_parallelism\":"}) {
+        "\"admission_wait_ms\":", "\"shards\":", "\"shard_parallelism\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing: "
                                                  << json;
   }

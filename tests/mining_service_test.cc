@@ -104,28 +104,6 @@ TEST_F(MiningServiceTest, SecondIdenticalRequestIsCachedAndBitIdentical) {
   EXPECT_EQ(service.cache_stats().misses, 1);
 }
 
-TEST_F(MiningServiceTest, ArenaPeakIsZeroUntilAMineAndMonotoneAfter) {
-  MiningService service;
-  EXPECT_EQ(service.arena_peak_bytes(), 0);
-
-  MiningResponse mined = service.Mine(BasicRequest());
-  ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
-  const int64_t after_mine = service.arena_peak_bytes();
-  EXPECT_GT(after_mine, 0) << "mine never touched the request arena";
-
-  // A cache hit runs no mine; the peak is a lifetime max either way.
-  MiningResponse cached = service.Mine(BasicRequest());
-  ASSERT_TRUE(cached.status.ok());
-  EXPECT_EQ(cached.source, ResponseSource::kCache);
-  EXPECT_GE(service.arena_peak_bytes(), after_mine);
-
-  // Results never reference the per-request arena (it died with the
-  // request): every cached support set is heap-backed.
-  for (const Pattern& pattern : mined.result->patterns) {
-    EXPECT_FALSE(pattern.support_set.arena_backed());
-  }
-}
-
 TEST_F(MiningServiceTest, ThreadCountDoesNotSplitTheCacheKey) {
   MiningService service;
   MineRequest one_thread = BasicRequest();

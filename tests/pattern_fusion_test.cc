@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "core/pattern_distance.h"
 #include "core/pattern_pool.h"
@@ -95,7 +94,6 @@ TEST(PatternPoolTest, CsrItemsAndRowsRoundTripThroughToPattern) {
     }
     const Pattern copy = pool->ToPattern(i);
     EXPECT_EQ(copy, expected);
-    EXPECT_FALSE(copy.support_set.arena_backed());
   }
   EXPECT_EQ(pool->MinPatternSize(), 1);
   EXPECT_EQ(pool->MaxPatternSize(), 4);
@@ -149,39 +147,27 @@ TEST(PatternPoolDeathTest, AddAndAppendRowDoNotMix) {
                "compacting a pool built with Add");
 }
 
-TEST(PatternPoolTest, ArenaAndHeapBackedPoolsAgree) {
+// The engine gives the same answer from a pool as from the patterns
+// it was copied from.
+TEST(PatternPoolTest, EngineRunsAPoolLikeItsPatterns) {
   TransactionDatabase db = ThreeWordDatabase();
   const std::vector<Pattern> patterns = SizeLexPatterns(db);
-  Arena arena;
-  StatusOr<PatternPool> heap =
+  StatusOr<PatternPool> pool =
       PatternPool::FromPatterns(db.num_transactions(), patterns);
-  StatusOr<PatternPool> arena_backed =
-      PatternPool::FromPatterns(db.num_transactions(), patterns, &arena);
-  ASSERT_TRUE(heap.ok() && arena_backed.ok());
-  EXPECT_GE(arena.allocated_bytes(),
-            heap->size() * heap->words_per_row() * 8);
-  ASSERT_EQ(arena_backed->size(), heap->size());
-  for (int64_t i = 0; i < heap->size(); ++i) {
-    EXPECT_EQ(arena_backed->ToPattern(i), heap->ToPattern(i));
-    EXPECT_FALSE(arena_backed->ToPattern(i).support_set.arena_backed());
-  }
+  ASSERT_TRUE(pool.ok());
 
-  // The engine gives the same answer from either.
   PatternFusionOptions options;
   options.min_support_count = 20;
   options.k = 4;
   options.num_threads = 1;
-  StatusOr<PatternFusionResult> from_heap =
+  StatusOr<PatternFusionResult> from_patterns =
       RunPatternFusion(db, patterns, options);
-  options.arena = &arena;
   FusionEngine engine(db, options);
-  StatusOr<PatternFusionResult> from_arena =
-      engine.Run(std::move(*arena_backed));
-  ASSERT_TRUE(from_heap.ok() && from_arena.ok());
-  ASSERT_EQ(from_arena->patterns.size(), from_heap->patterns.size());
-  for (size_t i = 0; i < from_heap->patterns.size(); ++i) {
-    EXPECT_EQ(from_arena->patterns[i], from_heap->patterns[i]);
-    EXPECT_FALSE(from_arena->patterns[i].support_set.arena_backed());
+  StatusOr<PatternFusionResult> from_pool = engine.Run(std::move(*pool));
+  ASSERT_TRUE(from_patterns.ok() && from_pool.ok());
+  ASSERT_EQ(from_pool->patterns.size(), from_patterns->patterns.size());
+  for (size_t i = 0; i < from_patterns->patterns.size(); ++i) {
+    EXPECT_EQ(from_pool->patterns[i], from_patterns->patterns[i]);
   }
 }
 
@@ -404,9 +390,9 @@ TEST_P(FuseOnceDifferentialTest, MatchesItemsetScanReference) {
         const FusionOutcome actual = FuseOnce(pool, order, seed_index,
                                               min_support, 0.5, max_merges,
                                               nullptr, max_items);
-        const FusionOutcome scanned = FuseOnce(*columnar, order, seed_index,
-                                               min_support, 0.5, max_merges,
-                                               nullptr, max_items);
+        const FusionOutcome scanned =
+            FuseOnce(*columnar, order, seed_index, min_support, 0.5,
+                     max_merges, max_items);
         for (const FusionOutcome* outcome : {&actual, &scanned}) {
           ASSERT_EQ(outcome->fused.items, expected.fused.items)
               << (outcome == &actual ? "vector" : "pool") << " trial "

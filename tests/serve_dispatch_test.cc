@@ -60,7 +60,7 @@ TEST_F(ServeDispatchTest, ClassifiesControlLines) {
         " dataset_loads=", " dataset_hits=", " dataset_evictions=",
         " dataset_stale_reloads=", " sniff_cache_hits=",
         " admission_waits=", " resident_mb=", " peak_resident_mb=",
-        " arena_peak_mb=", " simd="}) {
+        " simd="}) {
     EXPECT_NE(stats.stats_line.find(field), std::string::npos)
         << "missing " << field << " in: " << stats.stats_line;
   }
@@ -359,7 +359,7 @@ TEST_F(ServeDispatchTest, TraceControlWordRoundTripsAllPhases) {
         "\"status\":\"OK\"", "\"total_ms\":", "\"parse\":",
         "\"cache_lookup\":", "\"registry\":", "\"pool_mine\":",
         "\"stitch\":", "\"fusion\":", "\"serialize\":",
-        "\"admission_wait_ms\":", "\"arena_peak_bytes\":"}) {
+        "\"admission_wait_ms\":"}) {
     EXPECT_NE(trace.debug_text.find(key), std::string::npos)
         << key << " missing in: " << trace.debug_text;
   }

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "core/pattern.h"
 #include "data/dataset_io.h"
 #include "data/generators.h"
@@ -122,43 +121,6 @@ TEST_F(ShardedMinerTest, ExactIsByteIdenticalAcrossShardAndThreadCounts) {
       }
     }
   }
-}
-
-TEST_F(ShardedMinerTest, ArenaBackedMineIsByteIdenticalAndRecordsPeaks) {
-  StatusOr<ShardManifest> manifest =
-      ReadShardManifestFile((*manifest_paths_)[2]);  // 7 shards
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-
-  ShardedMiner plain(*manifest, DiskLoader());
-  StatusOr<ColossalMiningResult> reference =
-      plain.Mine(BaseOptions(), ShardMergeMode::kExact);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  std::atomic<int64_t> peak{0};
-  ShardResidencyOptions residency;
-  residency.arena_peak_bytes = &peak;
-  ShardedMiner miner(*manifest, DiskLoader(), residency);
-
-  StatusOr<ColossalMiningResult> heap =
-      miner.Mine(BaseOptions(), ShardMergeMode::kExact);
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  // Per-shard mining/re-count arenas report even without a request
-  // arena.
-  EXPECT_GT(peak.load(), 0);
-
-  Arena request_arena;
-  StatusOr<ColossalMiningResult> arena_backed =
-      miner.Mine(BaseOptions(), ShardMergeMode::kExact, &request_arena);
-  ASSERT_TRUE(arena_backed.ok()) << arena_backed.status().ToString();
-  EXPECT_GT(request_arena.high_water_bytes(), 0);
-
-  EXPECT_EQ(Render(*arena_backed), Render(*heap));
-  ASSERT_EQ(arena_backed->patterns.size(), heap->patterns.size());
-  for (size_t i = 0; i < heap->patterns.size(); ++i) {
-    EXPECT_TRUE(arena_backed->patterns[i] == heap->patterns[i]) << i;
-    EXPECT_FALSE(arena_backed->patterns[i].support_set.arena_backed()) << i;
-  }
-  EXPECT_EQ(Render(*heap), Render(*reference));
 }
 
 TEST_F(ShardedMinerTest, FanOutMatrixIsByteIdenticalToUnsharded) {
@@ -320,6 +282,27 @@ TEST(EstimateShardResidentBytesTest, HostileManifestCountsSaturate) {
   // And the governor copes with saturated estimates (no re-overflow in
   // its prefix sums).
   EXPECT_EQ(MaxConcurrentResidentShards({max64, max64}, max64), 1);
+}
+
+// The scratch charge is one rows-bit tidset per item plus a 256 KiB
+// floor. Its values are pinned because the governor's fan-out cap and
+// the registry's GetPinned reservations add it to every shard estimate,
+// so a changed figure moves admission waits and reloads.
+TEST(EstimateShardScratchBytesTest, TidsetPerItemPlusFloor) {
+  ShardInfo info;
+  info.row_begin = 10;
+  info.row_end = 10;
+  EXPECT_EQ(EstimateShardScratchBytes(info, 0), 262144);
+  EXPECT_EQ(EstimateShardScratchBytes(info, 1000), 262144);
+  info.row_end = 110;  // 100 rows: 13 bytes per tidset
+  EXPECT_EQ(EstimateShardScratchBytes(info, 10), 262144 + 130);
+  info.row_end = 10 + 4395;  // the trace's rows: 550 bytes per tidset
+  EXPECT_EQ(EstimateShardScratchBytes(info, 4096), 262144 + 4096 * 550);
+
+  const int64_t max64 = std::numeric_limits<int64_t>::max();
+  info.row_begin = 0;
+  info.row_end = max64;
+  EXPECT_EQ(EstimateShardScratchBytes(info, max64), max64);
 }
 
 TEST_F(ShardedMinerTest, EstimateOverestimatesActualResidentBytes) {

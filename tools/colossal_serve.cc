@@ -107,7 +107,6 @@
 #endif
 
 #include "common/args.h"
-#include "common/bitvector_kernels.h"
 #include "common/table_printer.h"
 #include "core/pattern.h"
 #include "mining/result_io.h"
@@ -151,9 +150,6 @@ constexpr const char kUsage[] =
     "daemon/listen control words: stats (one-line counters), metrics\n"
     "    (Prometheus-style text exposition), recent [n] / trace <id>\n"
     "    (flight-recorder JSON), quit/exit, shutdown\n"
-    "all subcommands take --force-scalar (pin the scalar Bitvector\n"
-    "    kernels; same as COLOSSAL_FORCE_SCALAR=1 — output is identical\n"
-    "    either way, this exists for byte-identity checks and benchmarks)\n"
     "see the header of tools/colossal_serve.cc for details\n";
 
 // Shared service knobs for both subcommands.
@@ -203,8 +199,7 @@ int RunBatch(const Args& args) {
   Status known = args.CheckKnown({"requests", "out-dir", "threads",
                                   "mining-threads", "shard-parallelism",
                                   "cache-entries", "registry-mb", "csv",
-                                  "force-scalar", "slow-request-ms",
-                                  "slow-log-file"});
+                                  "slow-request-ms", "slow-log-file"});
   if (!known.ok()) return Fail(known);
   const std::string requests_path = args.GetString("requests");
   if (requests_path.empty()) {
@@ -303,8 +298,7 @@ int RunBatch(const Args& args) {
 int RunDaemon(const Args& args) {
   Status known = args.CheckKnown({"mining-threads", "shard-parallelism",
                                   "cache-entries", "registry-mb",
-                                  "no-patterns", "force-scalar",
-                                  "max-inflight-mines",
+                                  "no-patterns", "max-inflight-mines",
                                   "max-inflight-mine-kb", "slow-request-ms",
                                   "slow-log-file"});
   if (!known.ok()) return Fail(known);
@@ -380,8 +374,7 @@ int RunListen(const Args& args) {
                                   "mining-threads", "shard-parallelism",
                                   "cache-entries", "registry-mb",
                                   "no-patterns", "max-connections",
-                                  "max-line-kb", "force-scalar",
-                                  "http-port", "http-pipeline",
+                                  "max-line-kb", "http-port", "http-pipeline",
                                   "max-inflight-mines",
                                   "max-inflight-mine-kb", "slow-request-ms",
                                   "slow-log-file"});
@@ -518,7 +511,7 @@ int RunListen(const Args& args) {
 
 // Serves every heap block of 256 KiB or more from its own mapping, which
 // goes back to the kernel when the block is freed. Such blocks live for
-// one mine (level and pool columns, request-arena chunks, ball buffers).
+// one mine (level and pool columns, ball buffers).
 // glibc instead raises its mmap threshold to the largest block freed so
 // far, after which those blocks come from the heap and strand pages
 // between long-lived cache entries: the resident set then depends on the
@@ -545,15 +538,12 @@ int Main(int argc, char** argv) {
     return 0;
   }
   StatusOr<Args> args =
-      Args::Parse(argc, argv, 2, {"csv", "no-patterns", "force-scalar"});
+      Args::Parse(argc, argv, 2, {"csv", "no-patterns"});
   if (!args.ok()) return Fail(args.status());
   if (args->HelpRequested()) {
     std::fputs(kUsage, stdout);
     return 0;
   }
-  // Kernel backend pin, for byte-identity smoke checks: the flag and
-  // the COLOSSAL_FORCE_SCALAR env var are equivalent.
-  if (args->Has("force-scalar")) SetBitvectorForceScalar(true);
   if (command == "batch") return RunBatch(*args);
   if (command == "daemon") return RunDaemon(*args);
   if (command == "listen") return RunListen(*args);
